@@ -4,6 +4,7 @@
 #include <benchmark/benchmark.h>
 
 #include <memory>
+#include <optional>
 #include <random>
 #include <vector>
 
@@ -105,10 +106,12 @@ BENCHMARK(BM_SparseLuRefactor)->Arg(10)->Arg(20)->Arg(40);
 // neighboring points in the fig7/fig8 sweeps.  BM_ScalarNewtonSweep is the
 // reference: the same K points solved one at a time, each with its own
 // fresh workspace (one symbolic analysis per point, as a sweep point does
-// today).  BM_BatchedNewton carries them in lockstep: one shared analysis,
-// SoA device stamping, lane-interleaved refactor/solve.  Both report
-// points/s; the batched one also reports lane occupancy (the fraction of
-// lane-iterations spent in lockstep rather than peeled to scalar).
+// today); BM_ScalarNewtonSweepReusedWorkspace solves them one at a time on
+// one shared workspace.  BM_BatchedNewton carries them in lockstep: one
+// shared analysis, SoA device stamping, lane-interleaved refactor/solve.
+// All report points/s; the batched one also reports lane occupancy (the
+// fraction of lane-iterations spent in lockstep rather than peeled to
+// scalar).
 struct BatchedDcWorkload {
   explicit BatchedDcWorkload(std::size_t k) {
     sram::ArrayOptions aopts;
@@ -182,7 +185,13 @@ void BM_BatchedNewton(benchmark::State& state) {
 }
 BENCHMARK(BM_BatchedNewton)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
 
-void BM_ScalarNewtonSweep(benchmark::State& state) {
+// The scalar reference loop over the same K points.  Without
+// `reuse_workspace` each point gets a fresh workspace (one symbolic analysis
+// per point, as a sweep point does today).  With it one workspace serves
+// every point, so the symbolic analysis, the assembly plan and the
+// iteration scratch carry over as they do across the solves of one
+// DCAnalysis or TranAnalysis: the like-for-like baseline for the lanes.
+void run_scalar_sweep(benchmark::State& state, bool reuse_workspace) {
   const std::size_t k = static_cast<std::size_t>(state.range(0));
   BatchedDcWorkload w(k);
   if (!w.warm_ok) {
@@ -190,11 +199,13 @@ void BM_ScalarNewtonSweep(benchmark::State& state) {
     return;
   }
   linalg::Vector x;
+  spice::NewtonWorkspace shared;
   std::size_t solved = 0;
   for (auto _ : state) {
     for (std::size_t l = 0; l < k; ++l) {
       x = w.warm;
-      spice::NewtonWorkspace ws;  // fresh per point, as a sweep point today
+      std::optional<spice::NewtonWorkspace> fresh;
+      spice::NewtonWorkspace& ws = reuse_workspace ? shared : fresh.emplace();
       const auto r = spice::solve_newton(
           *w.circuits[l], w.layouts[l], x, /*time=*/0.0, /*dt=*/0.0,
           /*dc=*/true, spice::IntegrationMethod::kBackwardEuler, w.opts, &ws);
@@ -212,7 +223,16 @@ void BM_ScalarNewtonSweep(benchmark::State& state) {
   state.SetLabel(std::to_string(w.layouts[0].unknown_count()) +
                  " unknowns/point");
 }
+
+void BM_ScalarNewtonSweep(benchmark::State& state) {
+  run_scalar_sweep(state, /*reuse_workspace=*/false);
+}
 BENCHMARK(BM_ScalarNewtonSweep)->Arg(1)->Arg(8);
+
+void BM_ScalarNewtonSweepReusedWorkspace(benchmark::State& state) {
+  run_scalar_sweep(state, /*reuse_workspace=*/true);
+}
+BENCHMARK(BM_ScalarNewtonSweepReusedWorkspace)->Arg(1)->Arg(8);
 
 void BM_NvCellDcOperatingPoint(benchmark::State& state) {
   sram::CellTestbench tb(sram::CellKind::kNvSram, models::PaperParams::table1(),

@@ -60,12 +60,18 @@ bool LuFactorization::factorize(const DenseMatrix& a, double pivot_floor) {
 }
 
 Vector LuFactorization::solve(const Vector& b) const {
+  Vector y;
+  solve_into(b, y);
+  return y;
+}
+
+void LuFactorization::solve_into(const Vector& b, Vector& y) const {
   if (!valid_) throw std::logic_error("LU::solve before successful factorize");
   const std::size_t n = lu_.rows();
   if (b.size() != n) throw std::invalid_argument("LU::solve rhs size");
 
   // Apply permutation, then forward substitution (L has unit diagonal).
-  Vector y(n);
+  y.resize(n);
   for (std::size_t i = 0; i < n; ++i) y[i] = b[perm_[i]];
   for (std::size_t i = 0; i < n; ++i) {
     double sum = y[i];
@@ -78,7 +84,6 @@ Vector LuFactorization::solve(const Vector& b) const {
     for (std::size_t j = ii + 1; j < n; ++j) sum -= lu_(ii, j) * y[j];
     y[ii] = sum / lu_(ii, ii);
   }
-  return y;
 }
 
 Vector LuFactorization::refine(const DenseMatrix& a, const Vector& b,

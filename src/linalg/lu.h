@@ -24,6 +24,10 @@ class LuFactorization {
 
   // Solves A x = b using the stored factors.  Requires factorize() == true.
   Vector solve(const Vector& b) const;
+  // Allocation-free variant for hot loops: resizes `out` (a no-op once it
+  // has the right size) and overwrites it with the solution of solve(b).
+  // `out` must not alias `b`.
+  void solve_into(const Vector& b, Vector& out) const;
 
   // One step of iterative refinement against the original matrix.
   Vector refine(const DenseMatrix& a, const Vector& b, const Vector& x) const;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <optional>
 #include <stdexcept>
 
 #include "linalg/lu.h"
@@ -37,12 +38,110 @@ std::string unknown_name(const Circuit& circuit, const MnaLayout& layout,
 
 namespace {
 
+constexpr std::size_t kNpos = std::numeric_limits<std::size_t>::max();
+
 // Scans `v` for the first non-finite entry; returns its index or npos.
 std::size_t first_non_finite(const linalg::Vector& v) {
   for (std::size_t i = 0; i < v.size(); ++i) {
     if (!std::isfinite(v[i])) return i;
   }
-  return std::numeric_limits<std::size_t>::max();
+  return kNpos;
+}
+
+// Dense-path linear solve of one Newton iteration, shared by solve_newton
+// and BatchedNewton: assembles `builder` through the workspace's plan,
+// scatters it into the persistent dense matrix, factorizes and solves into
+// ws.solution without allocating.  On a factorization failure it records
+// the failed pivot and either the non-finite site or the structural verdict
+// in `diag`, and returns false.
+bool solve_dense(const linalg::SparseBuilder& builder,
+                 const linalg::Vector& rhs, NewtonWorkspace& ws,
+                 SolveDiagnostics& diag) {
+  const std::size_t n = builder.dimension();
+  ws.assembler.assemble(builder, ws.matrix);
+  ws.matrix.to_dense_into(ws.dense);
+  if (ws.dense_lu.factorize(ws.dense)) {
+    ws.dense_lu.solve_into(rhs, ws.solution);
+    diag.structure = StructuralVerdict::kSound;
+    return true;
+  }
+  diag.singular_pivot = ws.dense_lu.failed_pivot();
+  if (ws.dense_lu.non_finite()) {
+    diag.non_finite = NonFiniteSite::kFactor;
+  } else {
+    // A full-pivot-search failure: ask whether the pattern itself can ever
+    // be nonsingular, so the diagnosis points at topology or at values, not
+    // just "singular".
+    const auto pattern =
+        linalg::SparsityPattern::from_triplets(n, builder.triplets());
+    diag.structure = linalg::maximum_matching(pattern).perfect(n)
+                         ? StructuralVerdict::kSound
+                         : StructuralVerdict::kSingular;
+  }
+  return false;
+}
+
+// Convergence check on the raw update `solved` against the iterate `x`;
+// tracks the worst offender (by how far it exceeds its tolerance budget)
+// for diagnostics.  worst_index stays npos when every update is exact.
+struct UpdateCheck {
+  bool converged = true;
+  std::size_t worst_index = kNpos;
+  double worst_delta = 0.0;
+  double worst_tol = 0.0;
+};
+
+UpdateCheck check_update(const linalg::Vector& solved, const linalg::Vector& x,
+                         const NewtonOptions& opts, std::size_t node_unknowns) {
+  UpdateCheck c;
+  double worst_ratio = 0.0;
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    const double delta = std::fabs(solved[i] - x[i]);
+    const double abstol = (i < node_unknowns) ? opts.abstol_v : opts.abstol_i;
+    const double tol =
+        abstol + opts.reltol * std::max(std::fabs(solved[i]), std::fabs(x[i]));
+    if (delta > tol) c.converged = false;
+    const double ratio = tol > 0.0 ? delta / tol : 0.0;
+    if (ratio > worst_ratio) {
+      worst_ratio = ratio;
+      c.worst_index = i;
+      c.worst_delta = delta;
+      c.worst_tol = tol;
+    }
+  }
+  return c;
+}
+
+// Damped update: limit node-voltage moves to keep the exponential models
+// inside their linear-ish region.
+void apply_damped_update(const linalg::Vector& solved, linalg::Vector& x,
+                         const NewtonOptions& opts, std::size_t node_unknowns) {
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    double next = solved[i];
+    if (i < node_unknowns) {
+      const double delta = next - x[i];
+      if (delta > opts.voltage_limit) next = x[i] + opts.voltage_limit;
+      if (delta < -opts.voltage_limit) next = x[i] - opts.voltage_limit;
+    }
+    x[i] = next;
+  }
+}
+
+// Finalizes a failed factorization: singular unless a non-finite factor
+// caused it; the failed pivot, when known, names the worst unknown.
+void report_failed_solve(NewtonResult& result, const Circuit& circuit,
+                         const MnaLayout& layout, double time) {
+  SolveDiagnostics& diag = result.diagnostics;
+  result.singular = diag.non_finite == NonFiniteSite::kNone;
+  diag.singular = result.singular;
+  if (diag.singular_pivot != SolveDiagnostics::kNoPivot) {
+    diag.worst_node = unknown_name(circuit, layout, diag.singular_pivot);
+  }
+  util::log_warn() << "newton: "
+                   << (diag.singular ? "singular system"
+                                     : "non-finite LU factor")
+                   << " at t=" << time
+                   << " (structure=" << to_string(diag.structure) << ")";
 }
 
 }  // namespace
@@ -53,15 +152,31 @@ NewtonResult solve_newton(Circuit& circuit, const MnaLayout& layout,
                           NewtonWorkspace* ws) {
   const std::size_t n = layout.unknown_count();
   const std::size_t node_unknowns = layout.node_count() - 1;
-  constexpr std::size_t kNpos = std::numeric_limits<std::size_t>::max();
   x.resize(n, 0.0);
 
-  linalg::SparseBuilder builder(n);
-  linalg::Vector rhs(n, 0.0);
+  // Without a caller workspace the same code runs on a local one.
+  std::optional<NewtonWorkspace> local;
+  NewtonWorkspace& w = ws ? *ws : local.emplace();
+  linalg::SparseBuilder& builder = w.builder;
+  linalg::Vector& rhs = w.rhs;
+  const linalg::Vector& solved = w.solution;
+  builder.resize(n);
+  rhs.resize(n);
+
   NewtonResult result;
   SolveDiagnostics& diag = result.diagnostics;
   diag.time = time;
   diag.last_dt = dt;
+
+  // The worst unknown of the last iteration that recorded one is named only
+  // when the solve returns; a culprit unknown (non-finite RHS or solution,
+  // failed pivot) takes the name instead.
+  std::size_t worst_seen = kNpos;
+  auto name_worst = [&] {
+    if (worst_seen != kNpos) {
+      diag.worst_node = unknown_name(circuit, layout, worst_seen);
+    }
+  };
 
   FaultPlan* faults = circuit.fault_plan();
   const int solve_index = faults ? faults->begin_solve() : 0;
@@ -105,6 +220,7 @@ NewtonResult solve_newton(Circuit& circuit, const MnaLayout& layout,
         if (!std::isfinite(trips[i].value)) {
           diag.non_finite = NonFiniteSite::kStamp;
           diag.non_finite_device = dev->name();
+          name_worst();
           util::log_warn() << "newton: non-finite stamp from device '"
                            << dev->name() << "' at t=" << time;
           return result;
@@ -125,74 +241,47 @@ NewtonResult solve_newton(Circuit& circuit, const MnaLayout& layout,
       builder.add(i, i, opts.gmin);
     }
 
-    const linalg::CsrMatrix a(builder);
-    std::optional<linalg::Vector> solved;
+    bool ok = false;
     if (n <= linalg::kDenseCutoff) {
-      linalg::LuFactorization lu;
-      if (lu.factorize(a.to_dense())) {
-        solved = lu.solve(rhs);
-        diag.structure = StructuralVerdict::kSound;
-      } else {
-        diag.singular_pivot = lu.failed_pivot();
-        if (lu.non_finite()) {
-          diag.non_finite = NonFiniteSite::kFactor;
-        } else {
-          // A full-pivot-search failure: ask whether the pattern itself can
-          // ever be nonsingular, so the diagnosis points at topology or at
-          // values, not just "singular".
-          const auto pattern =
-              linalg::SparsityPattern::from_triplets(n, builder.triplets());
-          diag.structure = linalg::maximum_matching(pattern).perfect(n)
-                               ? StructuralVerdict::kSound
-                               : StructuralVerdict::kSingular;
-        }
-      }
+      ok = solve_dense(builder, rhs, w, diag);
     } else {
       // Sparse path: KLU-style analyze (symbolic, pattern-only) + refactor
       // (numeric).  A caller-provided workspace keeps the analysis across
       // solves; without one a local analysis gives bit-identical numerics.
-      linalg::SparseLu local;
-      linalg::SparseLu& lu = ws ? ws->sparse_lu : local;
-      bool ok = false;
+      w.assembler.assemble(builder, w.matrix);
+      const linalg::CsrMatrix& a = w.matrix;
+      linalg::SparseLu& lu = w.sparse_lu;
       bool analyzed = lu.analyzed() && lu.pattern_matches(a);
       if (!analyzed) {
         analyzed = lu.analyze(a);
-        if (analyzed && ws) ws->analyze_count++;
+        if (analyzed) w.analyze_count++;
       }
       if (analyzed) {
         diag.structure = StructuralVerdict::kSound;
         ok = lu.refactor(a);
-        if (ws) ws->refactor_count++;
+        w.refactor_count++;
         if (!ok && !lu.non_finite()) {
           // Numeric failure of the fixed matching-based pivot order; the
           // threshold-pivoting one-shot factorization may still succeed.
           ok = lu.factorize(a);
-          if (ws) ws->fallback_count++;
+          w.fallback_count++;
         }
       } else {
         diag.structure = StructuralVerdict::kSingular;
       }
       if (ok) {
-        solved = lu.solve(rhs);
+        w.solution = lu.solve(rhs);
       } else {
         diag.singular_pivot = lu.failed_pivot();
         if (lu.non_finite()) diag.non_finite = NonFiniteSite::kFactor;
       }
     }
-    if (!solved) {
-      result.singular = diag.non_finite == NonFiniteSite::kNone;
-      diag.singular = result.singular;
-      if (diag.singular_pivot != SolveDiagnostics::kNoPivot) {
-        diag.worst_node = unknown_name(circuit, layout, diag.singular_pivot);
-      }
-      util::log_warn() << "newton: "
-                       << (diag.singular ? "singular system"
-                                         : "non-finite LU factor")
-                       << " at t=" << time
-                       << " (structure=" << to_string(diag.structure) << ")";
+    if (!ok) {
+      if (diag.singular_pivot == SolveDiagnostics::kNoPivot) name_worst();
+      report_failed_solve(result, circuit, layout, time);
       return result;
     }
-    if (const std::size_t bad = first_non_finite(*solved); bad != kNpos) {
+    if (const std::size_t bad = first_non_finite(solved); bad != kNpos) {
       diag.non_finite = NonFiniteSite::kSolution;
       diag.worst_node = unknown_name(circuit, layout, bad);
       util::log_warn() << "newton: non-finite solution at '" << diag.worst_node
@@ -200,51 +289,23 @@ NewtonResult solve_newton(Circuit& circuit, const MnaLayout& layout,
       return result;
     }
 
-    // Convergence check on the raw update; tracks the worst offender (by
-    // how far it exceeds its tolerance budget) for diagnostics.
-    bool converged = true;
-    double worst_ratio = 0.0;
-    std::size_t worst_index = kNpos;
-    double worst_delta = 0.0, worst_tol = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-      const double delta = std::fabs((*solved)[i] - x[i]);
-      const double abstol = (i < node_unknowns) ? opts.abstol_v : opts.abstol_i;
-      const double tol = abstol + opts.reltol * std::max(std::fabs((*solved)[i]),
-                                                         std::fabs(x[i]));
-      if (delta > tol) converged = false;
-      const double ratio = tol > 0.0 ? delta / tol : 0.0;
-      if (ratio > worst_ratio) {
-        worst_ratio = ratio;
-        worst_index = i;
-        worst_delta = delta;
-        worst_tol = tol;
-      }
+    const UpdateCheck check = check_update(solved, x, opts, node_unknowns);
+    if (check.worst_index != kNpos) {
+      worst_seen = check.worst_index;
+      diag.worst_delta = check.worst_delta;
+      diag.worst_tol = check.worst_tol;
     }
-    if (worst_index != kNpos) {
-      diag.worst_node = unknown_name(circuit, layout, worst_index);
-      diag.worst_delta = worst_delta;
-      diag.worst_tol = worst_tol;
-    }
-    if (converged && !stalled) {
-      x = std::move(*solved);
+    if (check.converged && !stalled) {
+      x.swap(w.solution);
       result.converged = true;
       diag.converged = true;
+      name_worst();
       return result;
     }
-
-    // Damped update: limit node-voltage moves to keep the exponential models
-    // inside their linear-ish region.
-    for (std::size_t i = 0; i < n; ++i) {
-      double next = (*solved)[i];
-      if (i < node_unknowns) {
-        const double delta = next - x[i];
-        if (delta > opts.voltage_limit) next = x[i] + opts.voltage_limit;
-        if (delta < -opts.voltage_limit) next = x[i] - opts.voltage_limit;
-      }
-      x[i] = next;
-    }
+    apply_damped_update(solved, x, opts, node_unknowns);
   }
   if (stalled) diag.injected = true;
+  name_worst();
   return result;
 }
 
@@ -359,14 +420,11 @@ BatchedNewton::BatchedNewton(std::vector<Circuit*> circuits,
     }
   }
   build_groups();
-  builders_.assign(k, linalg::SparseBuilder(n_));
-  rhs_.assign(k, linalg::Vector(n_, 0.0));
-  assemblers_.resize(k);
-  mats_.resize(k);
-  solved_.resize(k);
-  dense_.resize(k);
-  dense_lu_.resize(k);
   lane_ws_.resize(k);
+  for (NewtonWorkspace& w : lane_ws_) {
+    w.builder.resize(n_);
+    w.rhs.assign(n_, 0.0);
+  }
 }
 
 void BatchedNewton::build_groups() {
@@ -435,7 +493,6 @@ std::vector<NewtonResult> BatchedNewton::solve(
   if (xs.size() != k) {
     throw std::invalid_argument("BatchedNewton::solve: iterate count");
   }
-  constexpr std::size_t kNpos = std::numeric_limits<std::size_t>::max();
   std::vector<NewtonResult> results(k);
 
   // Entry iterates, saved pre-resize so a peeled lane restarts from exactly
@@ -479,10 +536,11 @@ std::vector<NewtonResult> BatchedNewton::solve(
       const std::size_t l = active[a];
       results[l].iterations = iter;
       results[l].diagnostics.iterations = iter;
-      builders_[l].clear();
-      std::fill(rhs_[l].begin(), rhs_[l].end(), 0.0);
-      ctxs.emplace_back(*layouts_[l], *xs[l], builders_[l], rhs_[l], time, dt,
-                        dc, method, opts.source_scale);
+      NewtonWorkspace& w = lane_ws_[l];
+      w.builder.clear();
+      std::fill(w.rhs.begin(), w.rhs.end(), 0.0);
+      ctxs.emplace_back(*layouts_[l], *xs[l], w.builder, w.rhs, time, dt, dc,
+                        method, opts.source_scale);
       ctx_ptrs[a] = &ctxs[a];
     }
     StampBatch batch(ctx_ptrs, nact);
@@ -495,7 +553,7 @@ std::vector<NewtonResult> BatchedNewton::solve(
     // ---- stamping, device by device across all lanes ----
     for (const DeviceGroup& grp : groups_) {
       for (std::size_t a = 0; a < nact; ++a) {
-        marks[a] = builders_[active[a]].triplets().size();
+        marks[a] = lane_ws_[active[a]].builder.triplets().size();
       }
       switch (grp.kind) {
         case DeviceGroup::Kind::kFinFET:
@@ -522,7 +580,7 @@ std::vector<NewtonResult> BatchedNewton::solve(
       for (std::size_t a = 0; a < nact; ++a) {
         if (done[a]) continue;
         const std::size_t l = active[a];
-        const auto& trips = builders_[l].triplets();
+        const auto& trips = lane_ws_[l].builder.triplets();
         for (std::size_t i = marks[a]; i < trips.size(); ++i) {
           if (!std::isfinite(trips[i].value)) {
             SolveDiagnostics& diag = results[l].diagnostics;
@@ -537,12 +595,13 @@ std::vector<NewtonResult> BatchedNewton::solve(
       }
     }
 
-    // ---- assemble + linear solve per lane ----
+    // ---- guards + linear solve per lane ----
     for (std::size_t a = 0; a < nact; ++a) {
       if (done[a]) continue;
       const std::size_t l = active[a];
       SolveDiagnostics& diag = results[l].diagnostics;
-      if (const std::size_t bad = first_non_finite(rhs_[l]); bad != kNpos) {
+      if (const std::size_t bad = first_non_finite(lane_ws_[l].rhs);
+          bad != kNpos) {
         diag.non_finite = NonFiniteSite::kRhs;
         diag.worst_node = unknown_name(*circuits_[l], *layouts_[l], bad);
         util::log_warn() << "newton: non-finite RHS at '" << diag.worst_node
@@ -551,37 +610,20 @@ std::vector<NewtonResult> BatchedNewton::solve(
         continue;
       }
       for (std::size_t i = 0; i < node_unknowns_; ++i) {
-        builders_[l].add(i, i, opts.gmin);
+        lane_ws_[l].builder.add(i, i, opts.gmin);
       }
-      assemblers_[l].assemble(builders_[l], mats_[l]);
     }
 
     // `solved[a]`: lane produced a solution vector this iteration.
     bool solved[kMaxBatchLanes] = {};
     if (n_ <= linalg::kDenseCutoff) {
       // Dense path: per-lane partial-pivot LU (pivot orders may diverge
-      // between lanes), allocation-free via the persistent factorization.
+      // between lanes), allocation-free via the lane's workspace.
       for (std::size_t a = 0; a < nact; ++a) {
         if (done[a]) continue;
         const std::size_t l = active[a];
-        SolveDiagnostics& diag = results[l].diagnostics;
-        mats_[l].to_dense_into(dense_[l]);
-        if (dense_lu_[l].factorize(dense_[l])) {
-          solved_[l] = dense_lu_[l].solve(rhs_[l]);
-          diag.structure = StructuralVerdict::kSound;
-          solved[a] = true;
-          continue;
-        }
-        diag.singular_pivot = dense_lu_[l].failed_pivot();
-        if (dense_lu_[l].non_finite()) {
-          diag.non_finite = NonFiniteSite::kFactor;
-        } else {
-          const auto pattern = linalg::SparsityPattern::from_triplets(
-              n_, builders_[l].triplets());
-          diag.structure = linalg::maximum_matching(pattern).perfect(n_)
-                               ? StructuralVerdict::kSound
-                               : StructuralVerdict::kSingular;
-        }
+        NewtonWorkspace& w = lane_ws_[l];
+        solved[a] = solve_dense(w.builder, w.rhs, w, results[l].diagnostics);
       }
     } else {
       // Sparse path: one shared analysis, lockstep refactorization.  A lane
@@ -589,11 +631,14 @@ std::vector<NewtonResult> BatchedNewton::solve(
       // fails (the scalar path would fall back to a full factorize), peels
       // off to the scalar path.
       std::size_t first = kNpos;
-      for (std::size_t a = 0; a < nact && first == kNpos; ++a) {
-        if (!done[a]) first = a;
+      for (std::size_t a = 0; a < nact; ++a) {
+        if (done[a]) continue;
+        NewtonWorkspace& w = lane_ws_[active[a]];
+        w.assembler.assemble(w.builder, w.matrix);
+        if (first == kNpos) first = a;
       }
       if (first != kNpos) {
-        const linalg::CsrMatrix& a0 = mats_[active[first]];
+        const linalg::CsrMatrix& a0 = lane_ws_[active[first]].matrix;
         bool analyzed = ws_.sparse_lu.analyzed() &&
                         ws_.sparse_lu.pattern_matches(a0);
         if (!analyzed) {
@@ -607,7 +652,8 @@ std::vector<NewtonResult> BatchedNewton::solve(
         for (std::size_t a = 0; a < nact; ++a) {
           if (done[a]) continue;
           const std::size_t l = active[a];
-          const bool matches = a == first || ws_.sparse_lu.pattern_matches(mats_[l]);
+          const bool matches =
+              a == first || ws_.sparse_lu.pattern_matches(lane_ws_[l].matrix);
           if (!matches) {
             peel_lane(l, results, xs, x0[l], time, dt, dc, method, opts);
             done[a] = true;
@@ -619,23 +665,12 @@ std::vector<NewtonResult> BatchedNewton::solve(
             diag.structure = StructuralVerdict::kSingular;
             diag.singular_pivot = ws_.sparse_lu.failed_pivot();
             done[a] = true;
-            results[l].singular = diag.non_finite == NonFiniteSite::kNone;
-            diag.singular = results[l].singular;
-            if (diag.singular_pivot != SolveDiagnostics::kNoPivot) {
-              diag.worst_node =
-                  unknown_name(*circuits_[l], *layouts_[l], diag.singular_pivot);
-            }
-            util::log_warn() << "newton: "
-                             << (diag.singular ? "singular system"
-                                               : "non-finite LU factor")
-                             << " at t=" << time
-                             << " (structure=" << to_string(diag.structure)
-                             << ")";
+            report_failed_solve(results[l], *circuits_[l], *layouts_[l], time);
             continue;
           }
           results[l].diagnostics.structure = StructuralVerdict::kSound;
           batch_lanes[nbatch] = a;
-          mat_lanes[nbatch] = &mats_[l];
+          mat_lanes[nbatch] = &lane_ws_[l].matrix;
           ++nbatch;
         }
         if (nbatch > 0) {
@@ -644,8 +679,8 @@ std::vector<NewtonResult> BatchedNewton::solve(
           linalg::Vector* out_lanes[kMaxBatchLanes];
           for (std::size_t b = 0; b < nbatch; ++b) {
             const std::size_t a = batch_lanes[b];
-            rhs_lanes[b] = &rhs_[active[a]];
-            out_lanes[b] = &solved_[active[a]];
+            rhs_lanes[b] = &lane_ws_[active[a]].rhs;
+            out_lanes[b] = &lane_ws_[active[a]].solution;
           }
           ws_.sparse_lu.solve_lanes(lane_values_, rhs_lanes, out_lanes);
           for (std::size_t b = 0; b < nbatch; ++b) {
@@ -670,20 +705,11 @@ std::vector<NewtonResult> BatchedNewton::solve(
       SolveDiagnostics& diag = results[l].diagnostics;
       if (!solved[a]) {
         // Dense-path factorization failure (sparse failures peeled above).
-        results[l].singular = diag.non_finite == NonFiniteSite::kNone;
-        diag.singular = results[l].singular;
-        if (diag.singular_pivot != SolveDiagnostics::kNoPivot) {
-          diag.worst_node =
-              unknown_name(*circuits_[l], *layouts_[l], diag.singular_pivot);
-        }
-        util::log_warn() << "newton: "
-                         << (diag.singular ? "singular system"
-                                           : "non-finite LU factor")
-                         << " at t=" << time
-                         << " (structure=" << to_string(diag.structure) << ")";
+        report_failed_solve(results[l], *circuits_[l], *layouts_[l], time);
         continue;
       }
-      if (const std::size_t bad = first_non_finite(solved_[l]); bad != kNpos) {
+      linalg::Vector& lane_solved = lane_ws_[l].solution;
+      if (const std::size_t bad = first_non_finite(lane_solved); bad != kNpos) {
         diag.non_finite = NonFiniteSite::kSolution;
         diag.worst_node = unknown_name(*circuits_[l], *layouts_[l], bad);
         util::log_warn() << "newton: non-finite solution at '"
@@ -691,47 +717,22 @@ std::vector<NewtonResult> BatchedNewton::solve(
         continue;
       }
 
-      bool converged = true;
-      double worst_ratio = 0.0;
-      std::size_t worst_index = kNpos;
-      double worst_delta = 0.0, worst_tol = 0.0;
       linalg::Vector& x = *xs[l];
-      for (std::size_t i = 0; i < n_; ++i) {
-        const double delta = std::fabs(solved_[l][i] - x[i]);
-        const double abstol =
-            (i < node_unknowns_) ? opts.abstol_v : opts.abstol_i;
-        const double tol =
-            abstol + opts.reltol * std::max(std::fabs(solved_[l][i]),
-                                            std::fabs(x[i]));
-        if (delta > tol) converged = false;
-        const double ratio = tol > 0.0 ? delta / tol : 0.0;
-        if (ratio > worst_ratio) {
-          worst_ratio = ratio;
-          worst_index = i;
-          worst_delta = delta;
-          worst_tol = tol;
-        }
+      const UpdateCheck check =
+          check_update(lane_solved, x, opts, node_unknowns_);
+      if (check.worst_index != kNpos) {
+        diag.worst_node =
+            unknown_name(*circuits_[l], *layouts_[l], check.worst_index);
+        diag.worst_delta = check.worst_delta;
+        diag.worst_tol = check.worst_tol;
       }
-      if (worst_index != kNpos) {
-        diag.worst_node = unknown_name(*circuits_[l], *layouts_[l], worst_index);
-        diag.worst_delta = worst_delta;
-        diag.worst_tol = worst_tol;
-      }
-      if (converged) {
-        x = std::move(solved_[l]);
+      if (check.converged) {
+        x.swap(lane_solved);
         results[l].converged = true;
         diag.converged = true;
         continue;
       }
-      for (std::size_t i = 0; i < n_; ++i) {
-        double next = solved_[l][i];
-        if (i < node_unknowns_) {
-          const double delta = next - x[i];
-          if (delta > opts.voltage_limit) next = x[i] + opts.voltage_limit;
-          if (delta < -opts.voltage_limit) next = x[i] - opts.voltage_limit;
-        }
-        x[i] = next;
-      }
+      apply_damped_update(lane_solved, x, opts, node_unknowns_);
       next_active.push_back(l);
     }
     active.swap(next_active);

@@ -12,6 +12,8 @@
 #pragma once
 
 #include "linalg/dense.h"
+#include "linalg/lu.h"
+#include "linalg/sparse.h"
 #include "linalg/sparse_lu.h"
 #include "spice/circuit.h"
 #include "spice/device.h"
@@ -40,11 +42,26 @@ struct NewtonOptions {
 // unchanged sparsity pattern skip the matching / ordering / symbolic
 // factorization and go straight to numerics (KLU-style refactorization).
 // The counters make the reuse observable in tests and benches.
+//
+// It also holds the per-iteration scratch, so a warm Newton iteration
+// neither allocates nor sorts: the stamp builder and RHS, the builder ->
+// CSR assembly plan (bit-identical to a fresh CsrMatrix by contract) and
+// its matrix, and for the dense path the scattered matrix, its LU factors
+// and the solution.  Reusing a workspace on a different circuit is safe:
+// the plan replans when the stamp positions change.
 struct NewtonWorkspace {
   linalg::SparseLu sparse_lu;
   std::size_t analyze_count = 0;   // symbolic analyses performed
   std::size_t refactor_count = 0;  // numeric-only refactorizations
   std::size_t fallback_count = 0;  // refactor pivot failures -> full factorize
+
+  linalg::SparseBuilder builder;
+  linalg::Vector rhs;
+  linalg::CsrAssembler assembler;
+  linalg::CsrMatrix matrix;
+  linalg::DenseMatrix dense;
+  linalg::LuFactorization dense_lu;
+  linalg::Vector solution;
 };
 
 // Escalation ladder used when a plain solve fails: solve under heavy gmin
@@ -78,11 +95,12 @@ std::string unknown_name(const Circuit& circuit, const MnaLayout& layout,
 // Solves the system at (time, dt); `x` carries the initial guess in and the
 // solution out.  `dc` selects the operating-point companion (capacitors
 // open).  Branch unknown indices start at layout.node_count()-1.
-// `ws` (optional) carries the symbolic LU analysis between solves; pass the
-// same workspace for every solve on one circuit to reuse the analysis
-// whenever the sparsity pattern is unchanged.  Results are bit-identical
-// with and without a workspace (both paths run the same analyze+refactor
-// numerics; the workspace only skips redundant symbolic work).
+// `ws` (optional) carries the symbolic LU analysis and the iteration
+// scratch between solves; pass the same workspace for every solve on one
+// circuit to reuse the analysis whenever the sparsity pattern is unchanged.
+// Results are bit-identical with and without a workspace (without one the
+// same code runs on a local workspace; a shared one only skips redundant
+// symbolic work and allocations).
 NewtonResult solve_newton(Circuit& circuit, const MnaLayout& layout,
                           linalg::Vector& x, double time, double dt, bool dc,
                           IntegrationMethod method, const NewtonOptions& opts,
@@ -196,17 +214,11 @@ class BatchedNewton {
   std::size_t node_unknowns_ = 0;
 
   NewtonWorkspace ws_;                      // shared symbolic analysis
-  std::vector<NewtonWorkspace> lane_ws_;    // per-lane, for peeled reruns
+  // Per-lane workspaces: the lockstep iteration scratch (persistent, so the
+  // hot loop never allocates) and the state of peeled scalar reruns.  A
+  // peel only ever overwrites the scratch of the lane it finalizes.
+  std::vector<NewtonWorkspace> lane_ws_;
   linalg::SparseLu::LaneValues lane_values_;
-
-  // Per-lane iteration scratch, persistent so the hot loop never allocates.
-  std::vector<linalg::SparseBuilder> builders_;
-  std::vector<linalg::Vector> rhs_;
-  std::vector<linalg::CsrAssembler> assemblers_;
-  std::vector<linalg::CsrMatrix> mats_;
-  std::vector<linalg::Vector> solved_;
-  std::vector<linalg::DenseMatrix> dense_;
-  std::vector<linalg::LuFactorization> dense_lu_;
 
   std::size_t lockstep_iterations_ = 0;
   std::size_t lane_iterations_ = 0;

@@ -78,19 +78,30 @@ Waveform TranAnalysis::run(const DCSolution* initial) {
   for (const auto& p : probes_) labels.push_back(p.label);
   Waveform wave(std::move(labels));
 
+  // Energy per source, accumulated by index (parallel to `sources`); each
+  // source-energy probe resolves its source once, by name, up front.
   energies_.clear();
-  for (auto* vs : sources) energies_[vs->name()] = 0.0;
+  std::vector<double> energy(sources.size(), 0.0);
   std::vector<double> power_prev(sources.size());
+  constexpr std::size_t kNoSource = static_cast<std::size_t>(-1);
+  std::vector<std::size_t> probe_source(probes_.size(), kNoSource);
+  for (std::size_t k = 0; k < probes_.size(); ++k) {
+    if (probes_[k].kind != Probe::Kind::kSourceEnergy) continue;
+    for (std::size_t i = 0; i < sources.size(); ++i) {
+      if (sources[i]->name() == probes_[k].device->name()) {
+        probe_source[k] = i;
+        break;
+      }
+    }
+  }
 
   auto record = [&](double t, const SolutionView& view) {
     std::vector<double> values;
     values.reserve(probes_.size());
-    for (const auto& p : probes_) {
-      double energy = 0.0;
-      if (p.kind == Probe::Kind::kSourceEnergy) {
-        energy = energies_[p.device->name()];
-      }
-      values.push_back(evaluate_probe(p, view, t, energy));
+    for (std::size_t k = 0; k < probes_.size(); ++k) {
+      const double e =
+          probe_source[k] == kNoSource ? 0.0 : energy[probe_source[k]];
+      values.push_back(evaluate_probe(probes_[k], view, t, e));
     }
     wave.append(t, values);
   };
@@ -229,7 +240,7 @@ Waveform TranAnalysis::run(const DCSolution* initial) {
     // Energy accumulation (trapezoid on delivered power).
     for (std::size_t i = 0; i < sources.size(); ++i) {
       const double p_now = sources[i]->delivered_power(view, t_new);
-      energies_[sources[i]->name()] += 0.5 * (p_now + power_prev[i]) * dt_try;
+      energy[i] += 0.5 * (p_now + power_prev[i]) * dt_try;
       power_prev[i] = p_now;
     }
 
@@ -246,6 +257,9 @@ Waveform TranAnalysis::run(const DCSolution* initial) {
       record(t, view);
       last_recorded = t;
     }
+  }
+  for (std::size_t i = 0; i < sources.size(); ++i) {
+    energies_[sources[i]->name()] = energy[i];
   }
   return wave;
 }

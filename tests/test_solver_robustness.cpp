@@ -3,8 +3,13 @@
 // recovery ladder under injected faults, and non-finite guards.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "linalg/lu.h"
 #include "linalg/sparse.h"
@@ -27,15 +32,25 @@ namespace {
 using models::PaperParams;
 
 // Cross-coupled inverter pair (a latch) with no access devices.
+// `reversed` adds the same devices in the opposite order: the same system,
+// stamped in a different sequence.
 struct LatchFixture {
   Circuit ckt;
   NodeId q, qb, vdd;
 
-  LatchFixture() {
+  explicit LatchFixture(bool reversed = false) {
     const auto pp = PaperParams::table1();
     q = ckt.node("q");
     qb = ckt.node("qb");
     vdd = ckt.node("vdd");
+    if (reversed) {
+      add_finfet(ckt, "pd_qb", qb, q, kGround, pp.nmos(1));
+      add_finfet(ckt, "pu_qb", qb, q, vdd, pp.pmos(1));
+      add_finfet(ckt, "pd_q", q, qb, kGround, pp.nmos(1));
+      add_finfet(ckt, "pu_q", q, qb, vdd, pp.pmos(1));
+      ckt.add<VSource>("Vdd", vdd, kGround, SourceSpec::dc(0.9));
+      return;
+    }
     ckt.add<VSource>("Vdd", vdd, kGround, SourceSpec::dc(0.9));
     add_finfet(ckt, "pu_q", q, qb, vdd, pp.pmos(1));
     add_finfet(ckt, "pd_q", q, qb, kGround, pp.nmos(1));
@@ -455,6 +470,254 @@ TEST(NonFiniteGuards, SparseSingularPivotCaughtAtArrayScale) {
   EXPECT_FALSE(lu.factorize(linalg::CsrMatrix(b)));
   EXPECT_FALSE(lu.non_finite());
   EXPECT_NE(lu.failed_pivot(), linalg::kNoFailedPivot);
+}
+
+// ---- worst-unknown diagnostics on every return path ----
+//
+// SolveDiagnostics::worst_node / worst_delta / worst_tol describe the worst
+// convergence-check offender of the last iteration that recorded one.  An
+// early return after iteration 1 (non-finite stamp, exhausted budget) keeps
+// that record unless a culprit unknown overwrites the name.
+
+// Conductance to ground whose matrix or RHS stamp turns NaN from its
+// `poison_from`-th stamp call on: a fault that appears mid-solve, after
+// Newton has already recorded a worst unknown.  (FaultPlan faults are
+// per-solve, so they always fire on iteration 1.)
+class PoisonAfter : public Device {
+ public:
+  enum class Site { kMatrix, kRhs };
+  PoisonAfter(std::string name, NodeId node, Site site, int poison_from)
+      : Device(std::move(name)), node_(node), site_(site),
+        poison_from_(poison_from) {}
+
+  std::vector<TerminalRef> terminals() const override { return {{"a", node_}}; }
+
+  void stamp(StampContext& ctx) override {
+    const bool poison = ++calls_ >= poison_from_;
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    ctx.mat_nn(node_, node_, poison && site_ == Site::kMatrix ? nan : 1e-6);
+    if (site_ == Site::kRhs) ctx.rhs_n(node_, poison ? nan : 0.0);
+  }
+
+ private:
+  NodeId node_;
+  Site site_;
+  int poison_from_;
+  int calls_ = 0;
+};
+
+NewtonResult solve_latch_from_zero(LatchFixture& f, int max_iterations) {
+  const MnaLayout layout = f.ckt.build_layout();
+  linalg::Vector x(layout.unknown_count(), 0.0);
+  NewtonOptions opts;
+  opts.max_iterations = max_iterations;
+  return solve_newton(f.ckt, layout, x, 0.0, 0.0, /*dc=*/true,
+                      IntegrationMethod::kBackwardEuler, opts);
+}
+
+TEST(WorstUnknownDiagnostics, ConvergedSolveNamesItsLastIteration) {
+  LatchFixture f;
+  const MnaLayout layout = f.ckt.build_layout();
+  linalg::Vector x(layout.unknown_count(), 0.0);
+  x[layout.node_index(f.vdd)] = 0.9;
+  x[layout.node_index(f.q)] = 0.9;
+  const auto r = solve_newton(f.ckt, layout, x, 0.0, 0.0, /*dc=*/true,
+                              IntegrationMethod::kBackwardEuler, {});
+  ASSERT_TRUE(r.converged);
+  const SolveDiagnostics& d = r.diagnostics;
+  EXPECT_EQ(d.worst_node, "qb");
+  EXPECT_GT(d.worst_tol, 0.0);
+  EXPECT_LE(d.worst_delta, d.worst_tol);
+}
+
+TEST(WorstUnknownDiagnostics, ExhaustedBudgetKeepsTheLastRecord) {
+  LatchFixture f;
+  const auto r = solve_latch_from_zero(f, 1);
+  ASSERT_FALSE(r.converged);
+  EXPECT_EQ(r.iterations, 1);
+  const SolveDiagnostics& d = r.diagnostics;
+  EXPECT_EQ(d.worst_node, "vdd");
+  EXPECT_GT(d.worst_delta, d.worst_tol);
+
+  LatchFixture g;
+  const auto r3 = solve_latch_from_zero(g, 3);
+  ASSERT_FALSE(r3.converged);
+  EXPECT_EQ(r3.diagnostics.worst_node, "branch[0]");
+  EXPECT_GT(r3.diagnostics.worst_delta, r3.diagnostics.worst_tol);
+}
+
+TEST(WorstUnknownDiagnostics, MidSolveNanStampKeepsThePreviousIteration) {
+  // Iteration 1 is the same as a one-iteration solve; the stamp turns NaN
+  // on iteration 2, so the diagnostics must still carry iteration 1's worst
+  // unknown alongside the culprit device.
+  LatchFixture ref;
+  ref.ckt.add<PoisonAfter>("Xp", ref.q, PoisonAfter::Site::kMatrix, 1000);
+  const auto one = solve_latch_from_zero(ref, 1);
+
+  LatchFixture f;
+  f.ckt.add<PoisonAfter>("Xp", f.q, PoisonAfter::Site::kMatrix, 2);
+  const auto r = solve_latch_from_zero(f, 120);
+  ASSERT_FALSE(r.converged);
+  EXPECT_EQ(r.iterations, 2);
+  const SolveDiagnostics& d = r.diagnostics;
+  EXPECT_EQ(d.non_finite, NonFiniteSite::kStamp);
+  EXPECT_EQ(d.non_finite_device, "Xp");
+  EXPECT_EQ(d.worst_node, "vdd");
+  EXPECT_EQ(d.worst_node, one.diagnostics.worst_node);
+  EXPECT_EQ(d.worst_delta, one.diagnostics.worst_delta);
+  EXPECT_EQ(d.worst_tol, one.diagnostics.worst_tol);
+}
+
+TEST(WorstUnknownDiagnostics, FaultPlanNanStampOnALaterSolveStartsClean) {
+  // One workspace across two solves: the second is poisoned on entry, so it
+  // records no worst unknown of its own and must not inherit the first's.
+  LatchFixture f;
+  f.ckt.set_fault_plan(FaultPlan::parse("nan-stamp@1"));
+  const MnaLayout layout = f.ckt.build_layout();
+  NewtonWorkspace ws;
+  linalg::Vector x(layout.unknown_count(), 0.0);
+  const auto first = solve_newton(f.ckt, layout, x, 0.0, 0.0, /*dc=*/true,
+                                  IntegrationMethod::kBackwardEuler, {}, &ws);
+  ASSERT_FALSE(first.diagnostics.worst_node.empty());
+  std::fill(x.begin(), x.end(), 0.0);
+  const auto r = solve_newton(f.ckt, layout, x, 0.0, 0.0, /*dc=*/true,
+                              IntegrationMethod::kBackwardEuler, {}, &ws);
+  const SolveDiagnostics& d = r.diagnostics;
+  EXPECT_EQ(r.iterations, 1);
+  EXPECT_EQ(d.non_finite, NonFiniteSite::kStamp);
+  EXPECT_TRUE(d.injected);
+  EXPECT_EQ(d.worst_node, "");
+  EXPECT_EQ(d.worst_delta, 0.0);
+  EXPECT_EQ(d.worst_tol, 0.0);
+}
+
+TEST(WorstUnknownDiagnostics, NonFiniteRhsNamesTheCulpritUnknown) {
+  // The RHS turns NaN at node qb on iteration 2: the culprit replaces the
+  // name, while the delta and tolerance stay those of iteration 1.
+  LatchFixture ref;
+  ref.ckt.add<PoisonAfter>("Xp", ref.qb, PoisonAfter::Site::kRhs, 1000);
+  const auto one = solve_latch_from_zero(ref, 1);
+
+  LatchFixture f;
+  f.ckt.add<PoisonAfter>("Xp", f.qb, PoisonAfter::Site::kRhs, 2);
+  const auto r = solve_latch_from_zero(f, 120);
+  ASSERT_FALSE(r.converged);
+  EXPECT_EQ(r.iterations, 2);
+  const SolveDiagnostics& d = r.diagnostics;
+  EXPECT_EQ(d.non_finite, NonFiniteSite::kRhs);
+  EXPECT_EQ(d.worst_node, "qb");
+  EXPECT_EQ(d.worst_delta, one.diagnostics.worst_delta);
+  EXPECT_EQ(d.worst_tol, one.diagnostics.worst_tol);
+}
+
+// ---- a shared NewtonWorkspace is bit-identical to none ----
+
+// Every solve of a sequence: its result and the iterate it left behind.
+struct SolveSequence {
+  std::vector<NewtonResult> results;
+  std::vector<linalg::Vector> xs;
+};
+
+// An NV-cell DC operating point through the recovery ladder, then a run of
+// transient Newton steps with the devices committing each step.  The first
+// step starts from a zero iterate so it takes several iterations.  Every
+// solve goes through `ws` (nullptr: each solve uses its own local scratch).
+SolveSequence run_nv_sequence(NewtonWorkspace* ws) {
+  sram::CellTestbench tb(sram::CellKind::kNvSram, PaperParams::table1());
+  Circuit& ckt = tb.circuit();
+  const MnaLayout layout = ckt.build_layout();
+  SolveSequence seq;
+  linalg::Vector x(layout.unknown_count(), 0.0);
+  seq.results.push_back(solve_newton_with_recovery(
+      ckt, layout, x, 0.0, 0.0, /*dc=*/true, IntegrationMethod::kBackwardEuler,
+      {}, {}, nullptr, ws));
+  seq.xs.push_back(x);
+  for (const auto& dev : ckt.devices()) {
+    dev->begin_transient(SolutionView(x, layout));
+  }
+  const double dt = 20e-12;
+  for (int step = 1; step <= 30; ++step) {
+    const double t = step * dt;
+    linalg::Vector next = step == 1 ? linalg::Vector(x.size(), 0.0) : x;
+    seq.results.push_back(solve_newton(ckt, layout, next, t, dt, /*dc=*/false,
+                                       IntegrationMethod::kTrapezoidal, {},
+                                       ws));
+    seq.xs.push_back(next);
+    if (!seq.results.back().converged) continue;
+    x = next;
+    for (const auto& dev : ckt.devices()) {
+      (void)dev->accept_step(SolutionView(x, layout), t, dt);
+    }
+  }
+  return seq;
+}
+
+void expect_bit_identical(const NewtonResult& ref, const linalg::Vector& ref_x,
+                          const NewtonResult& got, const linalg::Vector& got_x,
+                          const std::string& what) {
+  EXPECT_EQ(ref.converged, got.converged) << what;
+  EXPECT_EQ(ref.iterations, got.iterations) << what;
+  EXPECT_EQ(ref.diagnostics.worst_node, got.diagnostics.worst_node) << what;
+  EXPECT_EQ(ref.diagnostics.worst_delta, got.diagnostics.worst_delta) << what;
+  EXPECT_EQ(ref.diagnostics.worst_tol, got.diagnostics.worst_tol) << what;
+  ASSERT_EQ(ref_x.size(), got_x.size()) << what;
+  for (std::size_t i = 0; i < ref_x.size(); ++i) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(ref_x[i]),
+              std::bit_cast<std::uint64_t>(got_x[i]))
+        << what << ": unknown " << i;
+  }
+}
+
+TEST(WorkspaceBitIdentity, SharedWorkspaceMatchesNoneOnNvCellSequence) {
+  const SolveSequence ref = run_nv_sequence(nullptr);
+  NewtonWorkspace ws;
+  const SolveSequence got = run_nv_sequence(&ws);
+  ASSERT_EQ(ref.results.size(), got.results.size());
+  ASSERT_TRUE(ref.results.front().converged) << "DC operating point";
+  EXPECT_GT(ref.results[1].iterations, 2) << "first step is a real solve";
+  for (std::size_t k = 0; k < ref.results.size(); ++k) {
+    expect_bit_identical(ref.results[k], ref.xs[k], got.results[k], got.xs[k],
+                         "solve " + std::to_string(k));
+  }
+}
+
+TEST(WorkspaceBitIdentity, ReuseAcrossCircuitsReplansToTheFreshResult) {
+  // Same unknown count and stamp count, different stamp sequence: the
+  // shared workspace's assembly plan must notice the moved positions and
+  // replan.
+  LatchFixture a;
+  LatchFixture b(/*reversed=*/true);
+  LatchFixture b_fresh(/*reversed=*/true);
+  const MnaLayout la = a.ckt.build_layout();
+  const MnaLayout lb = b.ckt.build_layout();
+  const MnaLayout lf = b_fresh.ckt.build_layout();
+  ASSERT_EQ(la.unknown_count(), lb.unknown_count());
+
+  auto solve = [](LatchFixture& f, const MnaLayout& layout, linalg::Vector& x,
+                  NewtonWorkspace* ws) {
+    x.assign(layout.unknown_count(), 0.0);
+    x[layout.node_index(f.vdd)] = 0.9;
+    x[layout.node_index(f.q)] = 0.6;
+    return solve_newton(f.ckt, layout, x, 0.0, 0.0, /*dc=*/true,
+                        IntegrationMethod::kBackwardEuler, {}, ws);
+  };
+  auto positions = [](const linalg::SparseBuilder& builder) {
+    std::vector<std::pair<std::size_t, std::size_t>> out;
+    for (const auto& t : builder.triplets()) out.emplace_back(t.row, t.col);
+    return out;
+  };
+  NewtonWorkspace shared;
+  linalg::Vector xa, xb, xf;
+  ASSERT_TRUE(solve(a, la, xa, &shared).converged);
+  const auto stamps_a = positions(shared.builder);
+  const NewtonResult rb = solve(b, lb, xb, &shared);
+  const auto stamps_b = positions(shared.builder);
+  EXPECT_EQ(stamps_a.size(), stamps_b.size());
+  EXPECT_NE(stamps_a, stamps_b);
+
+  NewtonWorkspace fresh;
+  const NewtonResult rf = solve(b_fresh, lf, xf, &fresh);
+  expect_bit_identical(rf, xf, rb, xb, "reused vs fresh workspace");
 }
 
 // ---- wall-clock watchdog ----
