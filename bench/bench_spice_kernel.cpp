@@ -15,6 +15,8 @@
 #include "spice/newton.h"
 #include "sram/array.h"
 #include "sram/characterize.h"
+#include "sram/montecarlo.h"
+#include "sram/snm.h"
 #include "sram/testbench.h"
 
 namespace {
@@ -264,6 +266,26 @@ void BM_CellCharacterization(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CellCharacterization)->Unit(benchmark::kMillisecond);
+
+// Butterfly-SNM square search alone, on one fixed mismatched hold pair
+// (sigma_Vth = 50 mV, seed 7): the post-processing layer of every
+// Monte-Carlo SNM sample, without the VTC sweeps that feed it.
+void BM_ComputeSnm(benchmark::State& state) {
+  const auto pp = models::PaperParams::table1();
+  sram::VariationSpec spec;
+  spec.vth_sigma = 0.05;
+  spec.seed = 7;
+  sram::MonteCarlo mc(pp, spec);
+  sram::SnmOptions a, b;
+  a.fet_vary = mc.draw_fet_vary();
+  b.fet_vary = mc.draw_fet_vary();
+  const auto vtc_a = sram::inverter_vtc(pp, sram::CellKind::kNvSram, a);
+  const auto vtc_b = sram::inverter_vtc(pp, sram::CellKind::kNvSram, b);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(sram::compute_snm(vtc_a, vtc_b));
+  }
+}
+BENCHMARK(BM_ComputeSnm)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

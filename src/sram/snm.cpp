@@ -93,9 +93,13 @@ double largest_square(const util::PiecewiseLinear& f,
     const double x_max = x_hi - s;
     if (x_max < x_lo) return false;
     const int kGrid = 400;
+    // Rounding is monotone, so x and x + s never decrease along the grid:
+    // one segment hint per curve replaces a binary search per point.
+    std::size_t f_seg = 0;
+    std::size_t inv_seg = 0;
     for (int i = 0; i <= kGrid; ++i) {
       const double x = x_lo + (x_max - x_lo) * i / kGrid;
-      if (f(x + s) - f_inv(x) >= s) return true;
+      if (f(x + s, f_seg) - f_inv(x, inv_seg) >= s) return true;
     }
     return false;
   };

@@ -2,9 +2,12 @@
 //
 // The paper leans on the claim that separating the MTJs via PS-FinFETs
 // preserves large normal-mode SNMs; these helpers quantify that on our
-// substrate.  The SNM is computed with the standard 45-degree rotation of
-// the two inverter voltage-transfer curves: the side of the largest square
-// embedded in each butterfly lobe, reported as the smaller of the two lobes.
+// substrate.  The SNM is the side of the largest axis-aligned square that
+// fits in each lobe of the butterfly formed by one inverter's voltage-
+// transfer curve and the mirror of the other's, reported as the smaller of
+// the two lobes.  Each side is found by bisection on the square size, with
+// a fit tested over a 401-point grid of left-edge positions (not Seevinck's
+// exact 45-degree rotated-frame construction).
 #pragma once
 
 #include "models/paper_params.h"

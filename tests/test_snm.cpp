@@ -4,6 +4,7 @@
 
 #include <cmath>
 
+#include "sram/montecarlo.h"
 #include "sram/snm.h"
 #include "util/stats.h"
 
@@ -98,6 +99,81 @@ TEST(SnmVtc, VtcEndpointsNearRails) {
   const auto vtc = inverter_vtc(pp, CellKind::k6T, SnmOptions{});
   EXPECT_GT(vtc.front().second, 0.88);
   EXPECT_LT(vtc.back().second, 0.02);
+}
+
+// Bit-identity pins for the butterfly square search on mismatched
+// Monte-Carlo VTC pairs (sigma_Vth = 50 mV).  The expected values are exact
+// hex-float literals, so any change to largest_square or to the
+// PiecewiseLinear lookup it uses that moves a single bit fails here.  A
+// deliberate value change (e.g. an exact rotated-frame SNM) re-baselines
+// these literals and says so.  The draws go through libstdc++'s
+// std::normal_distribution and std::hash, which these literals also pin.
+VariationSpec bit_identity_spec(unsigned seed) {
+  VariationSpec spec;
+  spec.vth_sigma = 0.05;
+  spec.seed = seed;
+  return spec;
+}
+
+struct SnmBits {
+  double snm, lobe_high, lobe_low;
+};
+
+void expect_bits(const SnmResult& r, const SnmBits& want) {
+  EXPECT_EQ(r.snm, want.snm);
+  EXPECT_EQ(r.lobe_high, want.lobe_high);
+  EXPECT_EQ(r.lobe_low, want.lobe_low);
+}
+
+// One mismatched hold pair, then one mismatched read pair, from one engine.
+void expect_pair_bits(unsigned seed, const SnmBits& hold, const SnmBits& read) {
+  const auto pp = models::PaperParams::table1();
+  MonteCarlo mc(pp, bit_identity_spec(seed));
+  SnmOptions a, b;
+  a.fet_vary = mc.draw_fet_vary();
+  b.fet_vary = mc.draw_fet_vary();
+  expect_bits(compute_snm(inverter_vtc(pp, CellKind::kNvSram, a),
+                          inverter_vtc(pp, CellKind::kNvSram, b)),
+              hold);
+  SnmOptions ra, rb;
+  ra.access_on = rb.access_on = true;
+  ra.fet_vary = mc.draw_fet_vary();
+  rb.fet_vary = mc.draw_fet_vary();
+  expect_bits(compute_snm(inverter_vtc(pp, CellKind::kNvSram, ra),
+                          inverter_vtc(pp, CellKind::kNvSram, rb)),
+              read);
+}
+
+void expect_summary_bits(const MonteCarloSummary& s, double mean, double min,
+                         double max) {
+  EXPECT_EQ(s.samples, 8);
+  EXPECT_EQ(s.stats.mean(), mean);
+  EXPECT_EQ(s.stats.min(), min);
+  EXPECT_EQ(s.stats.max(), max);
+}
+
+TEST(SnmBitIdentity, MismatchedPairSeed7) {
+  expect_pair_bits(
+      7, {0x1.e8895a5a25a58p-3, 0x1.e8895a5a25a58p-3, 0x1.169fba5906924p-2},
+      {0x1.cd4340297f03bp-5, 0x1.cd4340297f03bp-5, 0x1.d0e1e30360becp-4});
+}
+
+TEST(SnmBitIdentity, MismatchedPairSeed23) {
+  expect_pair_bits(
+      23, {0x1.1ec3cf1be4b46p-2, 0x1.3a6b01049aebap-2, 0x1.1ec3cf1be4b46p-2},
+      {0x1.627ebe5b5c138p-5, 0x1.8db48fdef1cd9p-4, 0x1.627ebe5b5c138p-5});
+}
+
+TEST(SnmBitIdentity, MonteCarloHoldSummary) {
+  MonteCarlo mc(models::PaperParams::table1(), bit_identity_spec(7));
+  expect_summary_bits(mc.hold_snm(8), 0x1.f90106063c94cp-3,
+                      0x1.d21cf642ab08dp-3, 0x1.14c14f0f0ab58p-2);
+}
+
+TEST(SnmBitIdentity, MonteCarloReadSummary) {
+  MonteCarlo mc(models::PaperParams::table1(), bit_identity_spec(23));
+  expect_summary_bits(mc.read_snm(8), 0x1.da05373368414p-5,
+                      0x1.627ebe5b5c138p-5, 0x1.36ae8e13c74d4p-4);
 }
 
 }  // namespace
