@@ -2,26 +2,63 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <functional>
 #include <memory>
+#include <string>
 
 namespace nvsram::sram {
+
+namespace {
+
+// SplitMix64 (Steele, Lea & Flood, OOPSLA 2014): a 64-bit counter passed
+// through a bijective finalizer.  Seeding is one store, so a fresh stream
+// per device costs nothing, unlike an mt19937 behind a seed_seq.
+class SplitMix64 {
+ public:
+  using result_type = std::uint64_t;
+  explicit SplitMix64(std::uint64_t state) : state_(state) {}
+  static constexpr result_type min() { return 0; }
+  static constexpr result_type max() { return ~result_type{0}; }
+  result_type operator()() { return mix(state_ += 0x9e3779b97f4a7c15ULL); }
+
+  static std::uint64_t mix(std::uint64_t z) {
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+    return z ^ (z >> 31);
+  }
+
+ private:
+  std::uint64_t state_;
+};
+
+enum class Domain : std::uint64_t { kFet = 0, kMtj = 1 };
+
+// The stream of one device in one sample: a function of (sample seed,
+// domain, name) only, so draws do not depend on the order in which devices
+// are varied.
+SplitMix64 device_stream(unsigned sample_seed, Domain domain,
+                         const std::string& name) {
+  const std::uint64_t key =
+      (std::uint64_t{sample_seed} << 1) | static_cast<std::uint64_t>(domain);
+  const std::uint64_t name_hash = std::hash<std::string>{}(name);
+  return SplitMix64(SplitMix64::mix(SplitMix64::mix(key) ^ name_hash));
+}
+
+}  // namespace
 
 MonteCarlo::MonteCarlo(models::PaperParams pp, VariationSpec spec)
     : pp_(pp), spec_(spec), rng_(spec.seed) {}
 
 FetVary MonteCarlo::draw_fet_vary() {
   // Materialize one mismatch draw per call site: each device gets its own
-  // deviate, deterministic per (seed, call order, device name hash) so a
-  // sample is reproducible regardless of device instantiation order.
-  std::normal_distribution<double> gauss;
+  // deviates from its own stream, keyed by (sample seed, device name).
   const unsigned sample_seed = rng_();
   const double vth_sigma = spec_.vth_sigma;
   const double kp_sigma = spec_.kp_rel_sigma;
   return [sample_seed, vth_sigma, kp_sigma](const std::string& name,
                                             models::FinFETParams& params) {
-    std::seed_seq seq{sample_seed, static_cast<unsigned>(
-                                       std::hash<std::string>{}(name))};
-    std::mt19937 dev_rng(seq);
+    auto dev_rng = device_stream(sample_seed, Domain::kFet, name);
     std::normal_distribution<double> g;
     params.vth0 += vth_sigma * g(dev_rng);
     params.kp *= std::max(0.2, 1.0 + kp_sigma * g(dev_rng));
@@ -34,9 +71,7 @@ MtjVary MonteCarlo::draw_mtj_vary() {
   const double jc_sigma = spec_.jc_rel_sigma;
   return [sample_seed, ra_sigma, jc_sigma](const std::string& name,
                                            models::MTJParams& params) {
-    std::seed_seq seq{sample_seed + 1u, static_cast<unsigned>(
-                                            std::hash<std::string>{}(name))};
-    std::mt19937 dev_rng(seq);
+    auto dev_rng = device_stream(sample_seed, Domain::kMtj, name);
     std::normal_distribution<double> g;
     params.ra_product *= std::max(0.3, 1.0 + ra_sigma * g(dev_rng));
     params.jc *= std::max(0.3, 1.0 + jc_sigma * g(dev_rng));

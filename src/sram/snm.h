@@ -5,9 +5,12 @@
 // substrate.  The SNM is the side of the largest axis-aligned square that
 // fits in each lobe of the butterfly formed by one inverter's voltage-
 // transfer curve and the mirror of the other's, reported as the smaller of
-// the two lobes.  Each side is found by bisection on the square size, with
-// a fit tested over a 401-point grid of left-edge positions (not Seevinck's
-// exact 45-degree rotated-frame construction).
+// the two lobes.  Each side is exact for the piecewise-linear curves: one
+// merge pass over the knots of both curves (the axis-aligned form of
+// Seevinck's 45-degree rotated-frame construction; see largest_square in
+// snm.cpp).  Every segment of a VTC must have slope < 1 (an inverter's is
+// negative); compute_snm rejects one that does not with
+// std::invalid_argument.
 #pragma once
 
 #include "models/paper_params.h"
@@ -41,7 +44,7 @@ SnmResult compute_snm(const std::vector<std::pair<double, double>>& vtc);
 
 // SNM of a MISMATCHED pair: inverter A drives Q from QB, inverter B drives
 // QB from Q (Monte-Carlo cells).  lobe_high uses A-over-B, lobe_low the
-// mirrored orientation.
+// mirrored orientation; compute_snm(b, a) swaps the two lobes bit for bit.
 SnmResult compute_snm(const std::vector<std::pair<double, double>>& vtc_a,
                       const std::vector<std::pair<double, double>>& vtc_b);
 

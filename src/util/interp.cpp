@@ -20,13 +20,13 @@ PiecewiseLinear::PiecewiseLinear(std::vector<double> xs, std::vector<double> ys)
 }
 
 double PiecewiseLinear::operator()(double x) const {
-  std::size_t no_hint = 0;
-  return (*this)(x, no_hint);
-}
-
-std::size_t PiecewiseLinear::find_segment(double x) const {
-  return static_cast<std::size_t>(
-      std::upper_bound(xs_.begin(), xs_.end(), x) - xs_.begin());
+  if (xs_.empty()) return 0.0;
+  if (x <= xs_.front()) return ys_.front();
+  if (x >= xs_.back()) return ys_.back();
+  const auto it = std::upper_bound(xs_.begin(), xs_.end(), x);
+  const std::size_t i = static_cast<std::size_t>(it - xs_.begin());
+  const double t = (x - xs_[i - 1]) / (xs_[i] - xs_[i - 1]);
+  return ys_[i - 1] + t * (ys_[i] - ys_[i - 1]);
 }
 
 double PiecewiseLinear::extrapolate(double x) const {

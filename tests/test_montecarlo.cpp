@@ -2,8 +2,13 @@
 // the expected qualitative effects of variation knobs.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <string>
+#include <vector>
+
 #include "models/paper_params.h"
 #include "sram/montecarlo.h"
+#include "util/stats.h"
 
 namespace nvsram {
 namespace {
@@ -81,6 +86,109 @@ TEST(MonteCarloTest, ReadSnmWorseThanHoldUnderVariation) {
   const auto h = mc_h.hold_snm(10);
   const auto r = mc_r.read_snm(10);
   EXPECT_LT(r.stats.mean(), h.stats.mean());
+}
+
+// ---- per-device mismatch streams ----
+
+const std::vector<std::string> kCellFets = {"pu", "pd", "ax", "ps"};
+
+models::FinFETParams varied(const sram::FetVary& vary, const std::string& name,
+                            models::FinFETParams p) {
+  vary(name, p);
+  return p;
+}
+
+// Applies `vary` to one copy of `base` per name, visiting the names in the
+// given order; the result is indexed like `names`.
+template <typename Vary, typename Params>
+std::vector<Params> vary_in_order(const Vary& vary, Params base,
+                                  const std::vector<std::string>& names,
+                                  bool reverse) {
+  std::vector<Params> out(names.size(), base);
+  for (std::size_t k = 0; k < names.size(); ++k) {
+    const std::size_t i = reverse ? names.size() - 1 - k : k;
+    vary(names[i], out[i]);
+  }
+  return out;
+}
+
+TEST(MonteCarloStreams, DrawsDoNotDependOnDeviceOrder) {
+  VariationSpec spec;
+  spec.vth_sigma = 0.03;
+  const auto pp = PaperParams::table1();
+  MonteCarlo mc(pp, spec);
+  const auto fet = mc.draw_fet_vary();
+  const auto mtj = mc.draw_mtj_vary();
+  const auto fwd = vary_in_order(fet, pp.nmos(1), kCellFets, false);
+  const auto bwd = vary_in_order(fet, pp.nmos(1), kCellFets, true);
+  for (std::size_t i = 0; i < kCellFets.size(); ++i) {
+    EXPECT_EQ(fwd[i].vth0, bwd[i].vth0) << kCellFets[i];
+    EXPECT_EQ(fwd[i].kp, bwd[i].kp) << kCellFets[i];
+  }
+  const std::vector<std::string> mtjs = {"mtj_q", "mtj_qb"};
+  const auto mtj_fwd = vary_in_order(mtj, pp.mtj, mtjs, false);
+  const auto mtj_bwd = vary_in_order(mtj, pp.mtj, mtjs, true);
+  for (std::size_t i = 0; i < mtjs.size(); ++i) {
+    EXPECT_EQ(mtj_fwd[i].ra_product, mtj_bwd[i].ra_product) << mtjs[i];
+    EXPECT_EQ(mtj_fwd[i].jc, mtj_bwd[i].jc) << mtjs[i];
+  }
+}
+
+TEST(MonteCarloStreams, NamesSamplesAndDomainsGetDistinctDeltas) {
+  VariationSpec spec;
+  spec.vth_sigma = 0.02;
+  spec.ra_rel_sigma = 0.05;
+  const auto pp = PaperParams::table1();
+  const auto base = pp.nmos(1);
+  MonteCarlo mc(pp, spec);
+  const auto first = mc.draw_fet_vary();
+  const auto second = mc.draw_fet_vary();
+  // Different names within one sample.
+  for (std::size_t i = 0; i < kCellFets.size(); ++i) {
+    for (std::size_t j = i + 1; j < kCellFets.size(); ++j) {
+      EXPECT_NE(varied(first, kCellFets[i], base).vth0,
+                varied(first, kCellFets[j], base).vth0)
+          << kCellFets[i] << " vs " << kCellFets[j];
+    }
+  }
+  // The same name in two samples.
+  for (const auto& name : kCellFets) {
+    EXPECT_NE(varied(first, name, base).vth0, varied(second, name, base).vth0)
+        << name;
+  }
+  // FET and MTJ streams of one sample seed: two engines with one spec hand
+  // out the same first sample seed.
+  MonteCarlo fet_engine(pp, spec);
+  MonteCarlo mtj_engine(pp, spec);
+  const auto fet = fet_engine.draw_fet_vary();
+  const auto mtj = mtj_engine.draw_mtj_vary();
+  for (const auto& name : kCellFets) {
+    const double z_fet = (varied(fet, name, base).vth0 - base.vth0) /
+                         spec.vth_sigma;
+    auto m = pp.mtj;
+    mtj(name, m);
+    const double z_mtj = (m.ra_product / pp.mtj.ra_product - 1.0) /
+                         spec.ra_rel_sigma;
+    EXPECT_GT(std::fabs(z_fet - z_mtj), 1e-6) << name;
+  }
+}
+
+TEST(MonteCarloStreams, VthDeltasAreCenteredWithTheRequestedSigma) {
+  VariationSpec spec;
+  spec.vth_sigma = 0.02;
+  spec.seed = 2015;
+  MonteCarlo mc(PaperParams::table1(), spec);
+  const auto base = PaperParams::table1().nmos(1);
+  util::RunningStats deltas;
+  while (deltas.count() < 20000) {
+    const auto vary = mc.draw_fet_vary();
+    for (const auto& name : kCellFets) {
+      deltas.add(varied(vary, name, base).vth0 - base.vth0);
+    }
+  }
+  const double n = static_cast<double>(deltas.count());
+  EXPECT_LT(std::fabs(deltas.mean()), 4.0 * spec.vth_sigma / std::sqrt(n));
+  EXPECT_NEAR(deltas.stddev(), spec.vth_sigma, 0.03 * spec.vth_sigma);
 }
 
 TEST(MonteCarloTest, YieldAccounting) {

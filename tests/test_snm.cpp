@@ -2,10 +2,14 @@
 // mismatched-pair overload.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <string>
+#include <vector>
 
 #include "sram/montecarlo.h"
 #include "sram/snm.h"
+#include "util/interp.h"
 #include "util/stats.h"
 
 namespace nvsram::sram {
@@ -57,6 +61,18 @@ TEST(SnmSynthetic, LinearInverterHasNoMargin) {
   EXPECT_LT(r.snm, 0.02);
 }
 
+TEST(SnmSynthetic, LobeNarrowerThanFloorReadsZero) {
+  // A linear inverter bulged by `bump` at mid-rail against a straight one:
+  // the upper-left lobe is a sliver whose widest square has side ~bump / 2.
+  const auto bulged = [](double bump) {
+    return std::vector<std::pair<double, double>>{
+        {0.0, 1.0}, {0.5, 0.5 + bump}, {1.0, 0.0}};
+  };
+  const auto line = linear_vtc(1.0, 3);
+  EXPECT_EQ(compute_snm(bulged(1e-9), line).lobe_high, 0.0);
+  EXPECT_NEAR(compute_snm(bulged(1e-8), line).lobe_high, 5e-9, 1e-12);
+}
+
 TEST(SnmSynthetic, TooFewPointsRejected) {
   EXPECT_THROW(compute_snm({{0.0, 1.0}, {1.0, 0.0}}), std::invalid_argument);
 }
@@ -78,9 +94,57 @@ TEST(SnmSynthetic, MismatchOrderSwapsLobes) {
   const auto b = step_vtc(1.0, 0.4);
   const auto ab = compute_snm(a, b);
   const auto ba = compute_snm(b, a);
-  // Swapping the pair mirrors the butterfly: min lobe (the SNM) is equal.
-  EXPECT_NEAR(ab.snm, ba.snm, 0.02);
-  EXPECT_NEAR(ab.lobe_high, ba.lobe_low, 0.03);
+  // Swapping the pair mirrors the butterfly about y = x: the lobes swap
+  // exactly, so the SNM (the smaller lobe) is the same double.
+  EXPECT_EQ(ab.lobe_high, ba.lobe_low);
+  EXPECT_EQ(ab.lobe_low, ba.lobe_high);
+  EXPECT_EQ(ab.snm, ba.snm);
+  // The narrow lobe is exact: its square's lower-left corner sits on A's
+  // step at 0.6 and its upper-right corner on B's ramp, 0.4 - 0.005 v.
+  EXPECT_NEAR(ab.snm, 1.0 / 1.005 - 0.6, 1e-9);
+}
+
+TEST(SnmSynthetic, SegmentSlopeOfOneOrMoreRejected) {
+  // A rising segment of slope >= 1 breaks the monotone level ordering the
+  // exact square search relies on.
+  const std::vector<std::pair<double, double>> steep = {
+      {0.0, 0.9}, {0.4, 0.5}, {0.5, 0.8}, {1.0, 0.0}};
+  EXPECT_THROW(compute_snm(steep), std::invalid_argument);
+  const std::vector<std::pair<double, double>> unit = {
+      {0.0, 0.75}, {0.25, 0.5}, {0.5, 0.75}, {1.0, 0.0}};
+  EXPECT_THROW(compute_snm(unit), std::invalid_argument);
+  // Either side of a mismatched pair.
+  EXPECT_THROW(compute_snm(step_vtc(1.0, 0.5), steep), std::invalid_argument);
+  EXPECT_THROW(compute_snm(steep, step_vtc(1.0, 0.5)), std::invalid_argument);
+  // A shallow rise (slope 0.5) is accepted.
+  const std::vector<std::pair<double, double>> shallow = {
+      {0.0, 0.9}, {0.4, 0.8}, {0.5, 0.85}, {1.0, 0.0}};
+  EXPECT_NO_THROW(compute_snm(shallow));
+}
+
+TEST(SnmSynthetic, DomainEdgesBoundTheSquare) {
+  // A's VTC ends at vin = 0.8 and then clamps at 1.92; B's mirror is
+  // g(u) = 1 - u.  The widest square stops at the domain edge x_hi = 1:
+  // s = 1 - u with 1.92 - (1 - u) >= s, i.e. u = 0.04 and s = 0.96, where
+  // the square's right edge crosses x = 1 between two knots of either curve.
+  const std::vector<std::pair<double, double>> a = {
+      {0.0, 2.0}, {0.4, 1.96}, {0.8, 1.92}};
+  const std::vector<std::pair<double, double>> b = {
+      {0.0, 1.0}, {0.5, 0.5}, {1.0, 0.0}};
+  EXPECT_NEAR(compute_snm(a, b).lobe_high, 0.96, 1e-12);
+  // With B's VTC dipping to -0.2 the square fills the whole domain
+  // [x_lo, x_hi] = [0, 1]: its left edge sits on x = 0 between two knots.
+  const std::vector<std::pair<double, double>> b_low = {
+      {0.0, 1.0}, {0.5, 0.5}, {1.0, -0.2}};
+  EXPECT_NEAR(compute_snm(a, b_low).lobe_high, 1.0, 1e-12);
+  // Inputs on [1, 2], B's output below them and A's above: every knot of
+  // the search lies left of x_lo, and the square [1, 2] x [1, 2] comes from
+  // the clamped ends beyond the last one.
+  const std::vector<std::pair<double, double>> a_high = {
+      {1.0, 3.5}, {1.5, 3.2}, {2.0, 3.0}};
+  const std::vector<std::pair<double, double>> b_under = {
+      {1.0, 0.5}, {1.5, 0.25}, {2.0, 0.0}};
+  EXPECT_NEAR(compute_snm(a_high, b_under).lobe_high, 1.0, 1e-12);
 }
 
 TEST(SnmVtc, SweepPointsControlResolution) {
@@ -101,13 +165,107 @@ TEST(SnmVtc, VtcEndpointsNearRails) {
   EXPECT_LT(vtc.back().second, 0.02);
 }
 
+// ---- exact square vs the former grid search ----
+
+// The grid-plus-bisection square search compute_snm used before the exact
+// one, kept as a reference: bisection on the side s, with a fit tested over
+// a 401-point grid of left edges.  The grid tests a subset of the same
+// feasible set, so the exact square can never be smaller.
+double grid_square(const util::PiecewiseLinear& f,
+                   const util::PiecewiseLinear& f_inv, double x_lo,
+                   double x_hi) {
+  const auto fits = [&](double s) {
+    const double x_max = x_hi - s;
+    if (x_max < x_lo) return false;
+    const int kGrid = 400;
+    for (int i = 0; i <= kGrid; ++i) {
+      const double x = x_lo + (x_max - x_lo) * i / kGrid;
+      if (f(x + s) - f_inv(x) >= s) return true;
+    }
+    return false;
+  };
+  double lo = 0.0;
+  double hi = x_hi - x_lo;
+  if (!fits(lo + 1e-9)) return 0.0;
+  for (int iter = 0; iter < 60; ++iter) {
+    const double mid = 0.5 * (lo + hi);
+    (fits(mid) ? lo : hi) = mid;
+  }
+  return lo;
+}
+
+SnmResult grid_snm(const std::vector<std::pair<double, double>>& vtc_a,
+                   const std::vector<std::pair<double, double>>& vtc_b) {
+  std::vector<double> xa, ya, xi, yi;
+  for (const auto& [x, y] : vtc_a) {
+    xa.push_back(x);
+    ya.push_back(y);
+  }
+  for (auto it = vtc_b.rbegin(); it != vtc_b.rend(); ++it) {
+    double w = it->second;
+    if (!xi.empty() && w <= xi.back()) w = xi.back() + 1e-12;
+    xi.push_back(w);
+    yi.push_back(it->first);
+  }
+  const util::PiecewiseLinear fa(xa, ya);
+  const util::PiecewiseLinear fb_inv(xi, yi);
+  const double x_lo = std::min(vtc_a.front().first, vtc_b.front().first);
+  const double x_hi = std::max(vtc_a.back().first, vtc_b.back().first);
+  SnmResult r;
+  r.lobe_high = grid_square(fa, fb_inv, x_lo, x_hi);
+  r.lobe_low = grid_square(fb_inv, fa, x_lo, x_hi);
+  r.snm = std::min(r.lobe_high, r.lobe_low);
+  return r;
+}
+
+void expect_exact_bounds_grid(double exact, double grid,
+                              const std::string& where) {
+  EXPECT_GE(exact, grid - 1e-12) << where;
+  EXPECT_LT(exact - grid, 1e-3) << where;
+}
+
+TEST(SnmExactSquare, NeverBelowGridSearchAndWithinOneMillivolt) {
+  const auto pp = models::PaperParams::table1();
+  int lobes = 0;
+  for (double sigma : {0.01, 0.02, 0.03, 0.04, 0.05}) {
+    for (CellKind kind : {CellKind::k6T, CellKind::kNvSram}) {
+      for (bool read : {false, true}) {
+        VariationSpec spec;
+        spec.vth_sigma = sigma;
+        spec.seed = 1000 + lobes;
+        MonteCarlo mc(pp, spec);
+        for (int pair = 0; pair < 4; ++pair) {
+          SnmOptions a, b;
+          a.access_on = b.access_on = read;
+          a.fet_vary = mc.draw_fet_vary();
+          b.fet_vary = mc.draw_fet_vary();
+          const auto vtc_a = inverter_vtc(pp, kind, a);
+          const auto vtc_b = inverter_vtc(pp, kind, b);
+          const auto exact = compute_snm(vtc_a, vtc_b);
+          const auto grid = grid_snm(vtc_a, vtc_b);
+          const std::string where =
+              "sigma " + std::to_string(sigma) + (read ? " read" : " hold") +
+              (kind == CellKind::k6T ? " 6T" : " NV") + " pair " +
+              std::to_string(pair);
+          expect_exact_bounds_grid(exact.lobe_high, grid.lobe_high,
+                                   where + " lobe_high");
+          expect_exact_bounds_grid(exact.lobe_low, grid.lobe_low,
+                                   where + " lobe_low");
+          lobes += 2;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(lobes, 160);
+}
+
 // Bit-identity pins for the butterfly square search on mismatched
 // Monte-Carlo VTC pairs (sigma_Vth = 50 mV).  The expected values are exact
-// hex-float literals, so any change to largest_square or to the
-// PiecewiseLinear lookup it uses that moves a single bit fails here.  A
-// deliberate value change (e.g. an exact rotated-frame SNM) re-baselines
-// these literals and says so.  The draws go through libstdc++'s
-// std::normal_distribution and std::hash, which these literals also pin.
+// hex-float literals, so any change to largest_square, to the per-device
+// mismatch streams or to the VTC sweeps that moves a single bit fails here;
+// a deliberate value change re-baselines these literals and says so.  The
+// draws go through libstdc++'s std::normal_distribution and std::hash,
+// which these literals also pin.
 VariationSpec bit_identity_spec(unsigned seed) {
   VariationSpec spec;
   spec.vth_sigma = 0.05;
@@ -154,26 +312,26 @@ void expect_summary_bits(const MonteCarloSummary& s, double mean, double min,
 
 TEST(SnmBitIdentity, MismatchedPairSeed7) {
   expect_pair_bits(
-      7, {0x1.e8895a5a25a58p-3, 0x1.e8895a5a25a58p-3, 0x1.169fba5906924p-2},
-      {0x1.cd4340297f03bp-5, 0x1.cd4340297f03bp-5, 0x1.d0e1e30360becp-4});
+      7, {0x1.c7c69342bab6cp-3, 0x1.c7c69342bab6cp-3, 0x1.357ed5bb26fdfp-2},
+      {0x1.46d8944aef4e8p-4, 0x1.46d8944aef4e8p-4, 0x1.c4cd5c9f692e4p-4});
 }
 
 TEST(SnmBitIdentity, MismatchedPairSeed23) {
   expect_pair_bits(
-      23, {0x1.1ec3cf1be4b46p-2, 0x1.3a6b01049aebap-2, 0x1.1ec3cf1be4b46p-2},
-      {0x1.627ebe5b5c138p-5, 0x1.8db48fdef1cd9p-4, 0x1.627ebe5b5c138p-5});
+      23, {0x1.f83ffae5b72ecp-3, 0x1.16b6e5c6c9184p-2, 0x1.f83ffae5b72ecp-3},
+      {0x1.5c8c9cb2c9d98p-4, 0x1.7a2afc8c94162p-4, 0x1.5c8c9cb2c9d98p-4});
 }
 
 TEST(SnmBitIdentity, MonteCarloHoldSummary) {
   MonteCarlo mc(models::PaperParams::table1(), bit_identity_spec(7));
-  expect_summary_bits(mc.hold_snm(8), 0x1.f90106063c94cp-3,
-                      0x1.d21cf642ab08dp-3, 0x1.14c14f0f0ab58p-2);
+  expect_summary_bits(mc.hold_snm(8), 0x1.08bb12d8cbd8p-2,
+                      0x1.c7c69342bab6cp-3, 0x1.250260d7a0465p-2);
 }
 
 TEST(SnmBitIdentity, MonteCarloReadSummary) {
   MonteCarlo mc(models::PaperParams::table1(), bit_identity_spec(23));
-  expect_summary_bits(mc.read_snm(8), 0x1.da05373368414p-5,
-                      0x1.627ebe5b5c138p-5, 0x1.36ae8e13c74d4p-4);
+  expect_summary_bits(mc.read_snm(8), 0x1.f678e026346d8p-5,
+                      0x1.352fd2f247eb8p-5, 0x1.5c8c9cb2c9d98p-4);
 }
 
 }  // namespace

@@ -1,13 +1,9 @@
 // Utility module tests: formatting, CSV, root finding, interpolation, stats.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cmath>
-#include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
-#include <random>
 
 #include "util/csv.h"
 #include "util/interp.h"
@@ -163,123 +159,9 @@ TEST(PiecewiseLinearTest, RejectsUnsortedX) {
   EXPECT_THROW(PiecewiseLinear({0.0, 0.0}, {1.0, 2.0}), std::invalid_argument);
 }
 
-// ---- hinted interpolation: bit-identical to the plain lookup ----
-
-std::uint64_t bits(double v) {
-  std::uint64_t u = 0;
-  std::memcpy(&u, &v, sizeof u);
-  return u;
-}
-
-// `n` strictly increasing knots with random spacing and values.
-PiecewiseLinear random_curve(std::mt19937& rng, std::size_t n) {
-  std::uniform_real_distribution<double> start(-2.0, 0.0);
-  std::uniform_real_distribution<double> step(1e-3, 1.0);
-  std::uniform_real_distribution<double> value(-1.0, 1.0);
-  std::vector<double> xs, ys;
-  double x = start(rng);
-  for (std::size_t i = 0; i < n; ++i) {
-    xs.push_back(x);
-    ys.push_back(value(rng));
-    x += step(rng);
-  }
-  return PiecewiseLinear(xs, ys);
-}
-
-// The knots of an inverted VTC with exact rail plateaus, nudged 1e-12 apart
-// the way the SNM code builds its mirrored curve.
-PiecewiseLinear nudged_plateau_curve() {
-  std::vector<double> xs, ys;
-  for (int i = 40; i >= 0; --i) {
-    double w = i < 15 ? 0.0 : i > 25 ? 0.9 : 0.09 * (i - 15);
-    if (!xs.empty() && w <= xs.back()) w = xs.back() + 1e-12;
-    xs.push_back(w);
-    ys.push_back(0.9 * i / 40);
-  }
-  return PiecewiseLinear(xs, ys);
-}
-
-// Sorted queries: below the front, on every knot (twice), one ulp either
-// side of it, a random point inside every segment, and above the back.
-std::vector<double> sorted_queries(const PiecewiseLinear& pl,
-                                   std::mt19937& rng) {
-  std::uniform_real_distribution<double> u(0.0, 1.0);
-  const auto& xs = pl.xs();
-  std::vector<double> q = {xs.front() - 1.0, xs.back() + 1.0};
-  for (std::size_t i = 0; i < xs.size(); ++i) {
-    q.insert(q.end(), {xs[i], xs[i], std::nextafter(xs[i], -INFINITY),
-                       std::nextafter(xs[i], INFINITY)});
-    if (i > 0) q.push_back(xs[i - 1] + u(rng) * (xs[i] - xs[i - 1]));
-  }
-  std::sort(q.begin(), q.end());
-  return q;
-}
-
-// Index of the segment the plain lookup uses for an interior x.
-std::size_t segment_of(const PiecewiseLinear& pl, double x) {
-  return static_cast<std::size_t>(
-      std::upper_bound(pl.xs().begin(), pl.xs().end(), x) - pl.xs().begin());
-}
-
-void expect_sorted_sweep_matches(const PiecewiseLinear& pl,
-                                 std::mt19937& rng) {
-  std::size_t seg = 0;
-  for (double x : sorted_queries(pl, rng)) {
-    ASSERT_EQ(bits(pl(x, seg)), bits(pl(x))) << "x = " << x;
-    if (x > pl.xs().front() && x < pl.xs().back()) {
-      EXPECT_EQ(seg, segment_of(pl, x)) << "x = " << x;
-    }
-  }
-}
-
-TEST(PiecewiseLinearHint, SortedSweepsMatchPlainLookupBitForBit) {
-  std::mt19937 rng(20150309);
-  for (std::size_t n : {2u, 3u, 7u, 121u}) {
-    for (int trial = 0; trial < 25; ++trial) {
-      expect_sorted_sweep_matches(random_curve(rng, n), rng);
-    }
-  }
-}
-
-TEST(PiecewiseLinearHint, NudgedPlateausMatchPlainLookupBitForBit) {
-  std::mt19937 rng(7);
-  const auto pl = nudged_plateau_curve();
-  expect_sorted_sweep_matches(pl, rng);
-  // Queries between two nudged knots, 1e-12 apart.
-  std::size_t seg = 0;
-  for (std::size_t i = 1; i < pl.size(); ++i) {
-    const double mid = 0.5 * (pl.xs()[i - 1] + pl.xs()[i]);
-    ASSERT_EQ(bits(pl(mid, seg)), bits(pl(mid))) << "x = " << mid;
-  }
-}
-
-TEST(PiecewiseLinearHint, DecreasingQueryFallsBackToBinarySearch) {
-  std::mt19937 rng(23);
-  const auto pl = random_curve(rng, 50);
-  const auto& xs = pl.xs();
-  std::size_t seg = 0;
-  const double late = 0.5 * (xs[40] + xs[41]);
-  const double early = 0.5 * (xs[3] + xs[4]);
-  EXPECT_EQ(bits(pl(late, seg)), bits(pl(late)));
-  EXPECT_EQ(seg, 41u);
-  EXPECT_EQ(bits(pl(early, seg)), bits(pl(early)));
-  EXPECT_EQ(seg, 4u);
-  // A hint past the end (e.g. kept from a longer curve) also falls back.
-  seg = 1000;
-  EXPECT_EQ(bits(pl(early, seg)), bits(pl(early)));
-  EXPECT_EQ(seg, 4u);
-  // Unsorted queries through one hint.
-  std::uniform_real_distribution<double> u(xs.front() - 0.5, xs.back() + 0.5);
-  for (int k = 0; k < 500; ++k) {
-    const double x = u(rng);
-    ASSERT_EQ(bits(pl(x, seg)), bits(pl(x))) << "x = " << x;
-  }
-}
-
-TEST(PiecewiseLinearHint, EmptyCurveEvaluatesToZero) {
+TEST(PiecewiseLinearTest, EmptyCurveEvaluatesToZero) {
   const PiecewiseLinear pl;
-  std::size_t seg = 0;
-  EXPECT_EQ(pl(0.5, seg), 0.0);
+  EXPECT_EQ(pl(0.5), 0.0);
 }
 
 TEST(TrapezoidIntegral, MatchesAnalytic) {
