@@ -99,23 +99,19 @@ void BM_SparseLuRefactor(benchmark::State& state) {
 }
 BENCHMARK(BM_SparseLuRefactor)->Arg(10)->Arg(20)->Arg(40);
 
-// ---- batched multi-point Newton (spice::BatchedNewton) ----
+// ---- multi-point Newton sweep ----
 //
 // A fig7-shaped workload: K adjacent sweep points of an NV-SRAM array power
 // domain (rows x cols cells, ~hundreds of MNA unknowns, so the solves take
-// the sparse KLU-style path), each lane a slightly different VDD trim, all
+// the sparse KLU-style path), each point a slightly different VDD trim, all
 // warm-started from a common operating point — exactly the shape of
-// neighboring points in the fig7/fig8 sweeps.  BM_ScalarNewtonSweep is the
-// reference: the same K points solved one at a time, each with its own
-// fresh workspace (one symbolic analysis per point, as a sweep point does
-// today); BM_ScalarNewtonSweepReusedWorkspace solves them one at a time on
-// one shared workspace.  BM_BatchedNewton carries them in lockstep: one
-// shared analysis, SoA device stamping, lane-interleaved refactor/solve.
-// All report points/s; the batched one also reports lane occupancy (the
-// fraction of lane-iterations spent in lockstep rather than peeled to
-// scalar).
-struct BatchedDcWorkload {
-  explicit BatchedDcWorkload(std::size_t k) {
+// neighboring points in the fig7/fig8 sweeps.  BM_ScalarNewtonSweep solves
+// the K points one at a time, each with its own fresh workspace (one
+// symbolic analysis per point, as a sweep point does today);
+// BM_ScalarNewtonSweepReusedWorkspace solves them one at a time on one
+// shared workspace.  Both report points/s.
+struct SweepDcWorkload {
+  explicit SweepDcWorkload(std::size_t k) {
     sram::ArrayOptions aopts;
     aopts.rows = 4;
     aopts.cols = 8;
@@ -126,9 +122,8 @@ struct BatchedDcWorkload {
       circuits.push_back(&tbs.back()->circuit());
     }
     for (auto* c : circuits) layouts.push_back(c->build_layout());
-    for (auto& l : layouts) layout_ptrs.push_back(&l);
 
-    // Common warm start: lane 0's operating point, as neighboring sweep
+    // Common warm start: point 0's operating point, as neighboring sweep
     // points warm-start from each other.
     warm.assign(layouts[0].unknown_count(), 0.0);
     spice::RecoveryOptions recovery;
@@ -142,60 +137,19 @@ struct BatchedDcWorkload {
   std::vector<std::unique_ptr<sram::ArrayTestbench>> tbs;
   std::vector<spice::Circuit*> circuits;
   std::vector<spice::MnaLayout> layouts;
-  std::vector<const spice::MnaLayout*> layout_ptrs;
   linalg::Vector warm;
   spice::NewtonOptions opts;
   bool warm_ok = false;
 };
 
-void BM_BatchedNewton(benchmark::State& state) {
-  const std::size_t k = static_cast<std::size_t>(state.range(0));
-  BatchedDcWorkload w(k);
-  if (!w.warm_ok) {
-    state.SkipWithError("warm-start solve failed");
-    return;
-  }
-  std::vector<linalg::Vector> xs(k);
-  std::vector<linalg::Vector*> x_ptrs(k);
-  for (std::size_t l = 0; l < k; ++l) x_ptrs[l] = &xs[l];
-
-  spice::BatchedNewton driver(w.circuits, w.layout_ptrs);
-  std::size_t solved = 0;
-  for (auto _ : state) {
-    for (std::size_t l = 0; l < k; ++l) xs[l] = w.warm;
-    const auto results = driver.solve(
-        x_ptrs, /*time=*/0.0, /*dt=*/0.0, /*dc=*/true,
-        spice::IntegrationMethod::kBackwardEuler, w.opts);
-    for (const auto& r : results) solved += r.converged ? 1 : 0;
-    benchmark::DoNotOptimize(results);
-  }
-  if (solved != k * static_cast<std::size_t>(state.iterations())) {
-    state.SkipWithError("a lane failed to converge");
-    return;
-  }
-  state.counters["points/s"] = benchmark::Counter(
-      static_cast<double>(k) * static_cast<double>(state.iterations()),
-      benchmark::Counter::kIsRate);
-  const double lockstep =
-      static_cast<double>(driver.lockstep_iterations()) * static_cast<double>(k);
-  state.counters["lane_occupancy"] =
-      lockstep > 0.0 ? static_cast<double>(driver.lane_iterations()) / lockstep
-                     : 0.0;
-  state.SetLabel(std::to_string(w.layouts[0].unknown_count()) +
-                 " unknowns/lane, " + std::to_string(driver.peel_count()) +
-                 " peels");
-}
-BENCHMARK(BM_BatchedNewton)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
-
-// The scalar reference loop over the same K points.  Without
-// `reuse_workspace` each point gets a fresh workspace (one symbolic analysis
-// per point, as a sweep point does today).  With it one workspace serves
-// every point, so the symbolic analysis, the assembly plan and the
-// iteration scratch carry over as they do across the solves of one
-// DCAnalysis or TranAnalysis: the like-for-like baseline for the lanes.
+// The scalar loop over the K points.  Without `reuse_workspace` each point
+// gets a fresh workspace (one symbolic analysis per point, as a sweep point
+// does today).  With it one workspace serves every point, so the symbolic
+// analysis, the assembly plan and the iteration scratch carry over as they
+// do across the solves of one DCAnalysis or TranAnalysis.
 void run_scalar_sweep(benchmark::State& state, bool reuse_workspace) {
   const std::size_t k = static_cast<std::size_t>(state.range(0));
-  BatchedDcWorkload w(k);
+  SweepDcWorkload w(k);
   if (!w.warm_ok) {
     state.SkipWithError("warm-start solve failed");
     return;

@@ -1,7 +1,8 @@
 // Process-isolation crash drills for the supervised sweep runner
 // (runner/supervisor.h): byte-identity of CSV/checkpoint/manifest against
 // in-process runs, segv/oom/hang containment with poison quarantine,
-// crash-once recovery, and kill-the-supervisor + resume.
+// crash-once recovery, kill-the-supervisor + resume, and the one-point
+// REQUEST frame codec (runner/ipc.h).
 //
 // The suite name deliberately avoids the TSan CI filter
 // (SweepRunner|SweepParallel|...): fork() inside a TSan-instrumented
@@ -10,12 +11,15 @@
 
 #include <chrono>
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <vector>
 
+#include "runner/ipc.h"
 #include "runner/supervisor.h"
 #include "runner/sweep_runner.h"
 
@@ -269,6 +273,26 @@ TEST(SweepIsolation, KillSupervisorThenResumeByteIdentical) {
   EXPECT_GE(s.resumed, 1u);
   EXPECT_EQ(slurp(s.csv_path), slurp(s_ref.csv_path));
   EXPECT_EQ(slurp(s.manifest_path), slurp(s_ref.manifest_path));
+}
+
+TEST(SweepIsolation, RequestFrameCarriesExactlyOnePoint) {
+  const auto payload = ipc::encode_request(42);
+  ASSERT_EQ(payload.size(), 8u);
+  std::uint64_t index = 0;
+  ASSERT_TRUE(ipc::decode_request(payload, index));
+  EXPECT_EQ(index, 42u);
+
+  // The retired (begin, count) form is two u64s: 16 bytes, rejected.
+  auto two_words = ipc::encode_request(3);
+  const auto count = ipc::encode_request(4);
+  two_words.insert(two_words.end(), count.begin(), count.end());
+  EXPECT_FALSE(ipc::decode_request(two_words, index));
+
+  // A truncated frame (and an empty one) is rejected too.
+  const std::vector<std::uint8_t> truncated(payload.begin(),
+                                            payload.end() - 1);
+  EXPECT_FALSE(ipc::decode_request(truncated, index));
+  EXPECT_FALSE(ipc::decode_request({}, index));
 }
 
 TEST(SweepIsolation, SerialProcessModeStillIsolates) {
