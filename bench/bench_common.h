@@ -5,8 +5,9 @@
 // binary (./<name>.csv) for plotting.
 #pragma once
 
-#include <iostream>
 #include <cstdio>
+#include <cstdlib>
+#include <iostream>
 #include <string>
 #include <vector>
 
@@ -38,19 +39,32 @@ inline std::string ratio_fmt(double r, int digits = 2) {
   return buf;
 }
 
+// Applies the NVSRAM_SWEEP_* environment overrides to `opts`.  A malformed
+// or unknown override is a usage error: it prints one line naming the
+// variable and exits with status 2 rather than silently degrading (or
+// letting RunnerError escape main as an abort).
+inline void apply_sweep_env(runner::RunnerOptions& opts,
+                            const std::string& runner_name) {
+  try {
+    opts.apply_env(runner_name);
+  } catch (const runner::RunnerError& e) {
+    std::cerr << "error: " << e.what() << "\n";
+    std::exit(2);
+  }
+}
+
 // Standard runner configuration for a figure sweep: checkpoint next to the
 // CSV, NVSRAM_SWEEP_* environment overrides honored — fault/kill drills,
 // timeout, thread count, and NVSRAM_SWEEP_ISOLATION=process to run the
 // points on supervised worker subprocesses with crash quarantine (see
-// runner/sweep_runner.h and docs/ROBUSTNESS.md).  A malformed override
-// throws RunnerError out of main rather than silently degrading.
+// runner/sweep_runner.h and docs/ROBUSTNESS.md).
 inline runner::RunnerOptions sweep_options(const std::string& runner_name,
                                            std::string csv_path,
                                            std::vector<std::string> columns) {
   runner::RunnerOptions opts;
   opts.csv_path = std::move(csv_path);
   opts.csv_columns = std::move(columns);
-  opts.apply_env(runner_name);
+  apply_sweep_env(opts, runner_name);
   return opts;
 }
 

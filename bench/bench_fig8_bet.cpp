@@ -30,7 +30,7 @@ int main() {
   // The per-point watchdog budget (NVSRAM_SWEEP_TIMEOUT) also covers the
   // up-front SPICE characterization both sweeps share.
   runner::RunnerOptions probe;
-  probe.apply_env("fig8");
+  bench::apply_sweep_env(probe, "fig8");
   core::PowerGatingAnalyzer an(models::PaperParams::table1(),
                                probe.point_timeout_sec);
   bench::print_characterization_telemetry("6T", an.cell_6t());

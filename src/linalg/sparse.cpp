@@ -67,8 +67,7 @@ DenseMatrix CsrMatrix::to_dense() const {
 }
 
 void CsrMatrix::to_dense_into(DenseMatrix& out) const {
-  out.resize(n_, n_);
-  out.set_zero();
+  out.resize(n_, n_);  // zero-filled
   for (std::size_t r = 0; r < n_; ++r) {
     for (std::size_t k = row_ptr_[r]; k < row_ptr_[r + 1]; ++k) {
       out(r, col_idx_[k]) = values_[k];

@@ -37,6 +37,20 @@ std::string format_row(const std::vector<double>& row) {
   return text;
 }
 
+// Appends one point record (header line plus one CRC-suffixed line per
+// row) to `out`.
+void format_record(std::size_t index, const Rows& rows, std::string& out) {
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), "point=%zu rows=%zu\n", index, rows.size());
+  out += buf;
+  for (const auto& row : rows) {
+    const std::string text = format_row(row);
+    std::snprintf(buf, sizeof(buf), " *%08x\n", util::crc32(text));
+    out += text;
+    out += buf;
+  }
+}
+
 }  // namespace
 
 std::map<std::size_t, Rows> load(const std::string& path,
@@ -116,16 +130,9 @@ void store(const std::string& path, const std::string& name,
     out << kMagicV2 << '\n'
         << "name=" << name << '\n'
         << "columns=" << join_columns(columns) << '\n';
-    char crc_buf[16];
-    for (const auto& [index, rows] : done) {
-      out << "point=" << index << " rows=" << rows.size() << '\n';
-      for (const auto& row : rows) {
-        const std::string text = format_row(row);
-        std::snprintf(crc_buf, sizeof(crc_buf), "%08x", util::crc32(text));
-        out << text << " *" << crc_buf << '\n';
-      }
-    }
-    out << "end\n";
+    std::string records;
+    for (const auto& [index, rows] : done) format_record(index, rows, records);
+    out << records;
     out.flush();
     if (!out) {
       throw std::runtime_error("checkpoint: write failed for " + tmp);
@@ -134,6 +141,19 @@ void store(const std::string& path, const std::string& name,
   if (std::rename(tmp.c_str(), path.c_str()) != 0) {
     throw std::runtime_error("checkpoint: rename to " + path + " failed");
   }
+}
+
+Appender::Appender(const std::string& path)
+    : path_(path), out_(path, std::ios::app) {
+  if (!out_) throw std::runtime_error("checkpoint: cannot append to " + path);
+}
+
+void Appender::append(std::size_t index, const Rows& rows) {
+  buffer_.clear();
+  format_record(index, rows, buffer_);
+  out_ << buffer_;
+  out_.flush();
+  if (!out_) throw std::runtime_error("checkpoint: write failed for " + path_);
 }
 
 void remove(const std::string& path) { std::remove(path.c_str()); }

@@ -60,10 +60,16 @@ bool Committer::commit(std::size_t index, PointResult res) {
     summary_.rows[index] = std::move(res.rows);
     for (const auto& row : summary_.rows[index]) csv_.row(row);
     ++summary_.completed;
-    done_.emplace(index, summary_.rows[index]);
     if (options_.checkpoint) {
-      checkpoint::store(options_.checkpoint_path, name_, options_.csv_columns,
-                        done_);
+      if (!checkpoint_) {
+        // First fresh point of this run: write the header and the resumed
+        // prefix once (dropping any torn tail the load rewound past), then
+        // append from here on.
+        checkpoint::store(options_.checkpoint_path, name_,
+                          options_.csv_columns, done_);
+        checkpoint_.emplace(options_.checkpoint_path);
+      }
+      checkpoint_->append(index, summary_.rows[index]);
     }
   } else {
     ++summary_.failed;
@@ -120,7 +126,9 @@ void Committer::finalize() {
   manifest.close();
 
   csv_.flush();
-  if (options_.checkpoint && summary_.failed == 0) {
+  checkpoint_.reset();
+  if (options_.checkpoint && summary_.failed == 0 &&
+      !summary_.outcomes.empty()) {
     checkpoint::remove(options_.checkpoint_path);
   }
 }

@@ -8,6 +8,7 @@
 
 #include <cstddef>
 #include <map>
+#include <optional>
 #include <string>
 
 #include "runner/sweep_runner.h"
@@ -52,6 +53,9 @@ class Committer {
   RunSummary& summary_;
   std::map<std::size_t, Rows> done_;
   util::CsvWriter csv_;
+  // Opened lazily at the first fresh commit: a run that commits nothing
+  // new (run(0), a fully resumed sweep) writes no checkpoint.
+  std::optional<checkpoint::Appender> checkpoint_;
   std::string harness_error_;
 };
 

@@ -448,8 +448,9 @@ RunSummary SweepRunner::run(std::size_t n_points, const PointFn& fn) {
   summary.rows.resize(n_points);
   summary.process_isolated = isolation == Isolation::kProcess;
 
+  // A sweep of no points has nothing to resume and does no checkpoint I/O.
   std::map<std::size_t, Rows> done;
-  if (options_.checkpoint) {
+  if (options_.checkpoint && n_points > 0) {
     done = checkpoint::load(options_.checkpoint_path, name_,
                             options_.csv_columns, n_points);
   }

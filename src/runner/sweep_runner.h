@@ -12,11 +12,11 @@
 //   * wall-clock watchdog: the per-point budget is handed to the callback
 //     (wire it into TranOptions::max_wall_seconds); a util::WatchdogError
 //     is recorded as a timeout, not a crash.
-//   * checkpoint/resume: after every committed point the checkpoint file is
-//     atomically rewritten (with per-row CRCs — a corrupted tail rewinds to
-//     the last valid prefix), so an interrupted or crashed sweep resumes
-//     from the last committed point and reproduces byte-identical CSV
-//     output.
+//   * checkpoint/resume: every committed point appends one flushed record
+//     to the checkpoint file (with per-row CRCs — a corrupted or torn tail
+//     rewinds to the last valid prefix), so an interrupted or crashed sweep
+//     resumes from the last committed point and reproduces byte-identical
+//     CSV output.
 //   * worker pool: independent points fan out over RunnerOptions::threads
 //     workers while the calling thread drains completed results through an
 //     in-order reorder buffer.  Because commits are strictly sequential in

@@ -46,17 +46,17 @@ std::size_t first_non_finite(const linalg::Vector& v) {
 }
 
 // Dense-path linear solve of one Newton iteration: assembles `builder`
-// through the workspace's plan, scatters it into the persistent dense
-// matrix, factorizes and solves into ws.solution without allocating.  On a
-// factorization failure it records the failed pivot and either the
-// non-finite site or the structural verdict in `diag`, and returns false.
+// through the workspace's plan, factorizes the CSR matrix (replaying the
+// pivot plan of the previous iterations when the pivots still hold) and
+// solves into ws.solution without allocating.  On a factorization failure
+// it records the failed pivot and either the non-finite site or the
+// structural verdict in `diag`, and returns false.
 bool solve_dense(const linalg::SparseBuilder& builder,
                  const linalg::Vector& rhs, NewtonWorkspace& ws,
                  SolveDiagnostics& diag) {
   const std::size_t n = builder.dimension();
   ws.assembler.assemble(builder, ws.matrix);
-  ws.matrix.to_dense_into(ws.dense);
-  if (ws.dense_lu.factorize(ws.dense)) {
+  if (ws.dense_lu.factorize(ws.matrix)) {
     ws.dense_lu.solve_into(rhs, ws.solution);
     diag.structure = StructuralVerdict::kSound;
     return true;

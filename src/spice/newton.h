@@ -46,9 +46,10 @@ struct NewtonOptions {
 // It also holds the per-iteration scratch, so a warm Newton iteration
 // neither allocates nor sorts: the stamp builder and RHS, the builder ->
 // CSR assembly plan (bit-identical to a fresh CsrMatrix by contract) and
-// its matrix, and for the dense path the scattered matrix, its LU factors
-// and the solution.  Reusing a workspace on a different circuit is safe:
-// the plan replans when the stamp positions change.
+// its matrix, and for the dense path the LU factors with their pivot
+// replay plan (dense_lu.plan_count() / replay_count() / miss_count()) and
+// the solution.  Reusing a workspace on a different circuit is safe: both
+// plans replan when the stamp positions or the pattern change.
 struct NewtonWorkspace {
   linalg::SparseLu sparse_lu;
   std::size_t analyze_count = 0;   // symbolic analyses performed
@@ -59,7 +60,6 @@ struct NewtonWorkspace {
   linalg::Vector rhs;
   linalg::CsrAssembler assembler;
   linalg::CsrMatrix matrix;
-  linalg::DenseMatrix dense;
   linalg::LuFactorization dense_lu;
   linalg::Vector solution;
 };

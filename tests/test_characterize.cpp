@@ -34,6 +34,40 @@ class CharacterizeTest : public ::testing::Test {
 CellEnergetics* CharacterizeTest::cell_6t_ = nullptr;
 CellEnergetics* CharacterizeTest::cell_nv_ = nullptr;
 
+// Bit-level pins of the nominal Table I energetics, the transient-path
+// counterpart of SnmBitIdentity: a solver change that is meant to be
+// bit-identical (assembly, factorization, step control bookkeeping) must
+// keep every one of these literals.
+using CharacterizeBitIdentity = CharacterizeTest;
+
+TEST_F(CharacterizeBitIdentity, SixT) {
+  const CellEnergetics& c = *cell_6t_;
+  EXPECT_EQ(c.t_clk, 0x1.ca213d840baf8p-29);
+  EXPECT_EQ(c.e_read, 0x1.1a62a4b9281d6p-48);
+  EXPECT_EQ(c.e_write, 0x1.6602aeeaa1b41p-48);
+  EXPECT_EQ(c.p_static_normal, 0x1.8f7075c1b7442p-26);
+  EXPECT_EQ(c.p_static_sleep, 0x1.456c9af9b9856p-27);
+  EXPECT_EQ(c.p_static_shutdown, 0x1.06d1b7bf0a909p-35);
+  EXPECT_EQ(c.e_store, 0.0);
+  EXPECT_EQ(c.e_restore, 0.0);
+  EXPECT_EQ(c.e_sleep_transition, 0x1.bbf231d7e3e4ap-51);
+}
+
+TEST_F(CharacterizeBitIdentity, NvSram) {
+  const CellEnergetics& c = *cell_nv_;
+  EXPECT_EQ(c.t_clk, 0x1.ca213d840baf8p-29);
+  EXPECT_EQ(c.e_read, 0x1.2aaf942bd067p-48);
+  EXPECT_EQ(c.e_write, 0x1.72d290d7d7e59p-48);
+  EXPECT_EQ(c.p_static_normal, 0x1.9a3128db459dcp-26);
+  EXPECT_EQ(c.p_static_sleep, 0x1.5dffeba7f03dap-27);
+  EXPECT_EQ(c.p_static_shutdown, 0x1.06f2dc59cecefp-35);
+  EXPECT_EQ(c.e_store, 0x1.c3a967663f426p-42);
+  EXPECT_EQ(c.t_store, 0x1.9c511dc3a41dep-26);
+  EXPECT_EQ(c.e_restore, 0x1.26629ae2b512dp-45);
+  EXPECT_EQ(c.t_restore, 0x1.209f2e6f59p-29);
+  EXPECT_EQ(c.e_sleep_transition, 0x1.b2b4cb230b325p-51);
+}
+
 TEST_F(CharacterizeTest, ClockPeriodMatchesTable1) {
   EXPECT_NEAR(cell_6t_->t_clk, 1.0 / 300e6, 1e-12);
 }

@@ -23,6 +23,7 @@
 #include "spice/newton.h"
 #include "spice/structural_analysis.h"
 #include "sram/array.h"
+#include "sram/snm.h"
 #include "sram/testbench.h"
 
 namespace nvsram {
@@ -395,6 +396,41 @@ TEST(NewtonWorkspace, WarmResolveReusesTheSymbolicAnalysis) {
   EXPECT_EQ(dc.workspace().analyze_count, analyzes)
       << "warm re-solve must reuse the symbolic analysis";
   EXPECT_GT(dc.workspace().refactor_count, refactors);
+}
+
+TEST(NewtonWorkspace, InverterVtcSweepPlansOnceAndNeverMisses) {
+  // The hold-SNM inverter of sram::inverter_vtc, swept over the same 121
+  // points through one DCAnalysis: the first factorization plans the dense
+  // pivot replay and every later one, over all iterations of all points,
+  // replays it with bit-identical results.
+  const auto pp = PaperParams::table1();
+  spice::Circuit ckt;
+  const auto n_in = ckt.node("in");
+  const auto n_out = ckt.node("out");
+  const auto n_vdd = ckt.node("vdd");
+  auto* vin = ckt.add<spice::VSource>("Vin", n_in, spice::kGround,
+                                      spice::SourceSpec::dc(0.0));
+  ckt.add<spice::VSource>("Vdd", n_vdd, spice::kGround,
+                          spice::SourceSpec::dc(pp.vdd));
+  spice::add_finfet(ckt, "pu", n_out, n_in, n_vdd, pp.pmos(pp.fins_load));
+  spice::add_finfet(ckt, "pd", n_out, n_in, spice::kGround,
+                    pp.nmos(pp.fins_driver));
+
+  const auto vtc = sram::inverter_vtc(pp, sram::CellKind::k6T, {});
+  ASSERT_EQ(vtc.size(), 121u);
+  spice::DCAnalysis dc(ckt);
+  std::optional<linalg::Vector> warm;
+  for (const auto& [v_in, v_out] : vtc) {
+    vin->set_spec(spice::SourceSpec::dc(v_in));
+    const auto sol = dc.solve(warm ? &*warm : nullptr);
+    ASSERT_TRUE(sol.has_value());
+    EXPECT_EQ(sol->node_voltage(n_out), v_out) << "vin=" << v_in;
+    warm = sol->raw();
+  }
+  const linalg::LuFactorization& lu = dc.workspace().dense_lu;
+  EXPECT_EQ(lu.plan_count(), 1u);
+  EXPECT_EQ(lu.miss_count(), 0u);
+  EXPECT_GT(lu.replay_count(), vtc.size());
 }
 
 TEST(NewtonWorkspace, StructuralVerdictSoundOnNumericFailure) {

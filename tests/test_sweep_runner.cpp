@@ -451,6 +451,48 @@ TEST(SweepCheckpoint, CorruptionHealsToByteIdenticalResume) {
   EXPECT_EQ(slurp(s2.csv_path), slurp(s_ref.csv_path));
 }
 
+TEST(SweepCheckpoint, EmptySweepDoesNoCheckpointIo) {
+  // run(0) has nothing to resume or commit: it neither creates a checkpoint
+  // nor loads or deletes the one an earlier run of the sweep left behind.
+  auto opts = base_options("empty");
+  opts.threads = 1;
+  const std::string ckpt = opts.csv_path + ".ckpt";
+  std::remove(ckpt.c_str());
+  (void)SweepRunner("empty", opts).run(0, square_point);
+  EXPECT_FALSE(std::ifstream(ckpt).good());
+
+  std::map<std::size_t, Rows> done;
+  done[0] = {{0.0, 0.0}};
+  checkpoint::store(ckpt, "empty", {"x", "y"}, done);
+  const std::string before = slurp(ckpt);
+  const auto s = SweepRunner("empty", opts).run(0, square_point);
+  EXPECT_TRUE(s.all_ok());
+  EXPECT_EQ(slurp(ckpt), before);
+}
+
+TEST(SweepCheckpoint, CommitCostStaysFlatAsTheSweepGrows) {
+  // Each commit appends one record, so the per-point cost of a 4,000-point
+  // sweep stays within ~2x of a 250-point one.  A checkpoint rewritten in
+  // full after every point makes the cost grow with the committed count.
+  auto seconds_per_point = [](std::size_t n) {
+    double best = 0.0;
+    for (int rep = 0; rep < 3; ++rep) {
+      auto opts = base_options("scale" + std::to_string(n));
+      opts.threads = 1;
+      const auto s = SweepRunner("scale", opts).run(n, square_point);
+      EXPECT_TRUE(s.all_ok());
+      const double per_point = s.wall_seconds / static_cast<double>(n);
+      if (rep == 0 || per_point < best) best = per_point;
+    }
+    return best;
+  };
+  const double small = seconds_per_point(250);
+  const double large = seconds_per_point(4000);
+  EXPECT_LE(large, 2.0 * small)
+      << "per-point commit cost " << large * 1e6 << " us at 4000 points vs "
+      << small * 1e6 << " us at 250";
+}
+
 TEST(SweepRunner, RowWidthMismatchIsAHarnessError) {
   SweepRunner run("width", base_options("width"));
   EXPECT_THROW((void)run.run(1,
